@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron_all, layout, permute_factors
+from .linalg import factor_permutation, kron_all, layout
 from .overlap import OverlapResult
 from .private_states import PrivateState
 from .states import DensityMatrix, bell_vector, validate_state
@@ -113,19 +113,20 @@ def build_filters(
 def apply_filter(state: PrivateState, filters: FilterSet) -> FilterOutcome:
     """Apply one filter per party; return the surviving state and statistics.
 
-    The state's factors are regrouped per party before the product filter
-    acts. `residual` is the largest entrywise deviation of the surviving
-    state from p P_+ + (1-p) P_-, the mixture of the two Bell projectors it
-    should equal exactly.
+    The product filter acts on the party-grouped order (K0 S0 K1 S1 ...).
+    Its columns are moved to the state's canonical order instead of
+    regrouping the state. `residual` is the largest entrywise deviation of
+    the surviving state from p P_+ + (1-p) P_-, the mixture of the two Bell
+    projectors it should equal exactly.
     """
     spec = state.spec
     n = spec.parties
     dims = [spec.d] * n + list(spec.shield_dims)
     interleave = [x for k in range(n) for x in (k, n + k)]
-    regrouped = permute_factors(state.rho.matrix, dims, interleave)
-
-    full = kron_all(list(filters.party_ops))
-    out = full @ regrouped @ full.conj().T
+    grouped = kron_all(list(filters.party_ops))
+    full = np.empty_like(grouped)
+    full[:, factor_permutation(dims, interleave)] = grouped
+    out = full @ state.rho.matrix @ full.conj().T
     success = float(np.real(np.trace(out)))
     if success <= SUCCESS_FLOOR:
         raise FilterError(f"filter success probability {success:.3e} is ~ 0")

@@ -7,8 +7,9 @@ The quantity of interest is
     eta = max |<f_1 (x) ... (x) f_N| X |g_1 (x) ... (x) g_N>|
 
 over unit vectors f_k, g_k on the per-party shield factors. `eta_optimize`
-runs multi-start alternating ascent; `brute_force_eta` is a deliberately
-plain re-implementation used to cross-check it.
+runs multi-start alternating ascent with all starts advancing as one batch;
+`brute_force_eta` is a deliberately plain one-start-at-a-time
+re-implementation used to cross-check it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import CONV_TOL, kron_all, schmidt_max
+from .linalg import CONV_TOL, kron_all
 from .private_states import PrivateStateSpec
 
 CROSS_NORM_FLOOR = 1e-14
@@ -32,6 +33,10 @@ BRUTE_FORCE_DIM_CAP = 64
 class OverlapResult:
     """Outcome of a product-overlap maximization.
 
+    Every field but `start_etas` describes the start with the largest
+    overlap: `converged` says whether that start met the convergence test
+    within the sweep limit, and `sweeps` is the number of sweeps it ran.
+    `start_etas` holds the final overlap of every start, in start order.
     a1 and a2 (the branch weights of the optimal product vectors) are filled
     in by `a_values`, which needs the generating spec.
     """
@@ -88,42 +93,77 @@ def _contract_except(tensor: np.ndarray, vectors: list[np.ndarray], skip: int) -
     return t
 
 
-def _overlap(x: np.ndarray, bras: list[np.ndarray], kets: list[np.ndarray]) -> complex:
-    return complex(kron_all(bras).conj() @ x @ kron_all(kets))
+def _row_kron(factors: list[np.ndarray]) -> np.ndarray:
+    """Row-wise Kronecker product: row b is f_1[b] (x) ... (x) f_N[b]."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = (out[:, :, None] * f[:, None, :]).reshape(out.shape[0], -1)
+    return out
 
 
-def _sweep(
+def _fit(t: np.ndarray, dims: tuple[int, ...], factors: list[np.ndarray]) -> list[np.ndarray]:
+    """Product factors that raise |<f_1 (x) ... (x) f_N | t_b>| for every row b.
+
+    With two factors the maximum is reached at once through the leading
+    singular pair, whatever the current factors; otherwise each factor in
+    turn becomes the normalized contraction of t with the conjugates of all
+    the others. The overlap with the returned factors is real and
+    nonnegative.
+    """
+    n = len(dims)
+    t = t.reshape((t.shape[0],) + dims)
+    if n == 2:
+        u, _, vh = np.linalg.svd(t, full_matrices=False)
+        return [u[:, :, 0], vh[:, 0, :]]
+    factors = list(factors)
+    for k in range(n):
+        operands: list = [t, list(range(n + 1))]
+        for m in range(n):
+            if m != k:
+                operands += [factors[m].conj(), [0, m + 1]]
+        c = np.einsum(*operands, [0, k + 1])
+        nrm = np.linalg.norm(c, axis=1, keepdims=True)
+        factors[k] = np.divide(c, nrm, out=factors[k].copy(), where=nrm > 0.0)
+    return factors
+
+
+def _ascend(
     x: np.ndarray,
     dims: tuple[int, ...],
     bras: list[np.ndarray],
     kets: list[np.ndarray],
-) -> None:
-    """One monotone ascent pass updating all bra then all ket factors in place.
+    max_iters: int,
+    conv_tol: float,
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Alternating ascent of every start at once.
 
-    With two factors each half-pass is solved globally through the largest
-    Schmidt coefficient; otherwise factors are updated one at a time.
+    Factors are (starts, dim) arrays. A sweep fits all bra factors, then all
+    ket factors. A start stops once a sweep changes its |overlap| by at most
+    `conv_tol` (converged) or after `max_iters` sweeps. Updates the factors
+    in place and returns them with the complex overlap, sweep count and
+    convergence flag of every start.
     """
-    n = len(dims)
-    v = (x @ kron_all(kets)).reshape(dims)
-    if n == 2:
-        _, left, right = schmidt_max(v.ravel(), dims[0], dims[1])
-        bras[0], bras[1] = left, right
-    else:
-        for k in range(n):
-            t = _contract_except(v, [b.conj() for b in bras], k)
-            nrm = np.linalg.norm(t)
-            if nrm > 0.0:
-                bras[k] = t / nrm
-    w = (x.conj().T @ kron_all(bras)).reshape(dims)
-    if n == 2:
-        _, left, right = schmidt_max(w.ravel(), dims[0], dims[1])
-        kets[0], kets[1] = left, right
-    else:
-        for k in range(n):
-            t = _contract_except(w.conj(), kets, k)
-            nrm = np.linalg.norm(t)
-            if nrm > 0.0:
-                kets[k] = t.conj() / nrm
+    g_rows = _row_kron(kets)
+    value = np.einsum("bc,bc->b", _row_kron(bras).conj() @ x, g_rows)
+    sweeps = np.zeros(value.size, dtype=int)
+    converged = np.zeros(value.size, dtype=bool)
+    live = np.arange(value.size)
+    for sweep in range(1, max_iters + 1):
+        f = _fit(g_rows[live] @ x.T, dims, [b[live] for b in bras])
+        w = _row_kron(f) @ x.conj()  # row b is x^dagger f_b
+        g = _fit(w, dims, [k[live] for k in kets])
+        g_live = _row_kron(g)
+        g_rows[live] = g_live
+        new = np.einsum("bc,bc->b", w.conj(), g_live)
+        for k in range(len(dims)):
+            bras[k][live], kets[k][live] = f[k], g[k]
+        converged[live] = np.abs(np.abs(new) - np.abs(value[live])) <= conv_tol
+        value[live] = new
+        sweeps[live] = sweep
+        live = live[~converged[live]]
+        if not live.size:
+            break
+    return bras, kets, value, sweeps, converged
 
 
 def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
@@ -144,8 +184,8 @@ def eta_optimize(
 
     Runs alternating ascent from the largest-magnitude entries of `x` (so the
     result can never fall below the best single entry) and from `restarts`
-    random product starts. The result is flagged non-converged only when
-    every start exhausted `max_iters` sweeps.
+    random product starts, all starts advancing together as one batch. The
+    result describes the start with the largest overlap (see OverlapResult).
     """
     dims = tuple(int(v) for v in dims)
     total = int(np.prod(dims, dtype=np.int64))
@@ -164,43 +204,28 @@ def eta_optimize(
         rng = np.random.default_rng(child)
         starts.append((_random_product(dims, rng), _random_product(dims, rng)))
 
-    best: tuple[float, list[np.ndarray], list[np.ndarray], bool, int] | None = None
-    start_etas: list[float] = []
-    any_converged = False
-    for bras, kets in starts:
-        eta_prev = abs(_overlap(x, bras, kets))
-        converged = False
-        sweeps = 0
-        for sweeps in range(1, max_iters + 1):
-            _sweep(x, dims, bras, kets)
-            eta_now = abs(_overlap(x, bras, kets))
-            if abs(eta_now - eta_prev) <= conv_tol:
-                converged = True
-                break
-            eta_prev = eta_now
-        eta_final = abs(_overlap(x, bras, kets))
-        start_etas.append(eta_final)
-        any_converged = any_converged or converged
-        if best is None or eta_final > best[0]:
-            best = (eta_final, bras, kets, converged, sweeps)
-
-    assert best is not None
-    eta, bras, kets, _, sweeps = best
+    bras = [np.array([s[0][k] for s in starts]) for k in range(len(dims))]
+    kets = [np.array([s[1][k] for s in starts]) for k in range(len(dims))]
+    bras, kets, value, sweeps, converged = _ascend(
+        x, dims, bras, kets, max_iters, conv_tol
+    )
+    etas = np.abs(value)
+    best = int(np.argmax(etas))
+    eta = float(etas[best])
     if eta < ETA_FLOOR:
         warnings.warn(
             f"product overlap {eta:.3e} is below {ETA_FLOOR:.0e}; "
             "its phase is numerically meaningless",
             stacklevel=2,
         )
-    theta = float(np.angle(_overlap(x, bras, kets)))
     return OverlapResult(
-        eta=float(eta),
-        theta=theta,
-        bra_vectors=bras,
-        ket_vectors=kets,
-        converged=any_converged,
-        sweeps=sweeps,
-        start_etas=start_etas,
+        eta=eta,
+        theta=float(np.angle(value[best])),
+        bra_vectors=[b[best].copy() for b in bras],
+        ket_vectors=[g[best].copy() for g in kets],
+        converged=bool(converged[best]),
+        sweeps=int(sweeps[best]),
+        start_etas=etas.tolist(),
     )
 
 
@@ -282,5 +307,5 @@ def brute_force_eta(
                 nrm = np.linalg.norm(t)
                 if nrm > 0.0:
                     kets[k] = t.conj() / nrm
-        best = max(best, abs(_overlap(x, bras, kets)))
+        best = max(best, abs(complex(kron_all(bras).conj() @ x @ kron_all(kets))))
     return best

@@ -7,7 +7,7 @@ from privdistill.filtering import (
     build_filters,
     predict_outcome,
 )
-from privdistill.linalg import layout, von_neumann_entropy
+from privdistill.linalg import kron_all, layout, permute_factors, von_neumann_entropy
 from privdistill.overlap import OverlapResult, optimize_pair
 from privdistill.private_states import PrivateStateSpec, build_private_state, random_spec
 from privdistill.states import UnitaryOp, bell_vector, validate_state
@@ -108,6 +108,24 @@ def test_three_party_filtering():
     pred = predict_outcome(res, d=2)
     assert abs(outcome.success - pred.success) < 1e-12
     assert abs(outcome.p - pred.p) < 1e-12
+
+
+def test_filter_matches_regroup_then_filter():
+    """Filtering in the canonical factor order equals regrouping the state
+    per party and applying the product filter there."""
+    for d, parties, dims, seed in ((2, 2, (2, 3), 0), (3, 2, (2, 2), 1), (2, 3, (2, 2, 3), 2)):
+        spec = random_spec(d, parties, dims, seed=seed)
+        state = build_private_state(spec)
+        filters = build_filters(spec, 0, d - 1, optimize_pair(spec, 0, d - 1, seed=seed))
+        outcome = apply_filter(state, filters)
+        order = [x for k in range(parties) for x in (k, parties + k)]
+        regrouped = permute_factors(state.rho.matrix, [d] * parties + list(dims), order)
+        full = kron_all(list(filters.party_ops))
+        out = full @ regrouped @ full.conj().T
+        success = np.trace(out).real
+        post = out / success
+        assert abs(outcome.success - success) < 1e-14
+        assert np.abs(outcome.state.matrix - (post + post.conj().T) / 2).max() < 1e-14
 
 
 def test_qutrit_key_success_has_two_thirds_factor():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privdistill.linalg import layout
 from privdistill.overlap import (
@@ -169,19 +171,56 @@ def test_brute_force_shape_mismatch():
 
 
 def test_sweeps_are_monotone():
-    """Successive sweeps from a fixed start never decrease the overlap."""
-    from privdistill.overlap import _overlap, _sweep
+    """Every start's overlap never decreases as it is allowed more sweeps."""
+    for d, parties, dims in ((2, 2, (3, 3)), (2, 3, (2, 2, 3))):
+        spec = random_spec(d, parties, dims, seed=13)
+        x = cross_operator(spec, 0, 1)
+        prev = None
+        for max_iters in range(1, 21):
+            now = eta_optimize(x, dims, restarts=8, max_iters=max_iters, seed=0).start_etas
+            if prev is not None:
+                assert all(b >= a - 1e-12 for a, b in zip(prev, now))
+            prev = now
 
-    spec = random_spec(2, 2, (3, 3), seed=13)
+
+def test_converged_describes_the_returned_start():
+    """A weaker start that converges does not make the pair converged."""
+    spec = random_spec(2, 3, (2, 2, 2), seed=13)
     x = cross_operator(spec, 0, 1)
-    rng = np.random.default_rng(0)
-    bras = [v / np.linalg.norm(v) for v in
-            (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2))]
-    kets = [v / np.linalg.norm(v) for v in
-            (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2))]
-    prev = abs(_overlap(x, bras, kets))
-    for _ in range(20):
-        _sweep(x, (3, 3), bras, kets)
-        now = abs(_overlap(x, bras, kets))
-        assert now >= prev - 1e-12
-        prev = now
+    short = eta_optimize(x, spec.shield_dims, restarts=4, max_iters=15, seed=0)
+    full = eta_optimize(x, spec.shield_dims, restarts=4, max_iters=200, seed=0)
+    # a start whose overlap is unchanged by 185 more allowed sweeps had stopped
+    stopped = [a for a, b in zip(short.start_etas, full.start_etas) if a == b]
+    assert min(stopped) < short.eta - 1e-2
+    assert not short.converged
+    assert short.sweeps == 15
+    assert full.converged and full.sweeps > 15
+
+
+def test_four_factor_case_against_brute_force():
+    for seed in range(2):
+        spec = random_spec(2, 4, (2, 2, 2, 2), seed=seed)
+        x = cross_operator(spec, 0, 1)
+        res = eta_optimize(x, spec.shield_dims, seed=seed)
+        brute = brute_force_eta(x, spec.shield_dims, samples=48, seed=seed + 100)
+        assert abs(res.eta - brute) < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    dims=st.lists(st.integers(2, 3), min_size=2, max_size=4).filter(
+        lambda dims: np.prod(dims) <= 64
+    ),
+    rank_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_overlap_bounds_on_generated_specs(d, dims, rank_fraction, seed, data):
+    """max |X_ij| <= eta <= sqrt(a1 a2) for every generated spec and pair."""
+    i, j = data.draw(st.permutations(range(d)))[:2]
+    rank = max(1, round(rank_fraction * np.prod(dims)))
+    spec = random_spec(d, len(dims), dims, seed=seed, shield_rank=rank)
+    res = optimize_pair(spec, i, j, seed=seed)
+    assert np.abs(cross_operator(spec, i, j)).max() <= res.eta + 1e-12
+    assert res.eta <= np.sqrt(res.a1 * res.a2) + 1e-12
