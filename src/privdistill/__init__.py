@@ -26,18 +26,15 @@ from .linalg import (
     SubsystemLayout,
     factor_permutation,
     hermitian_eig,
-    kron,
     kron_all,
     layout,
     partial_trace,
     permute_factors,
-    schmidt_max,
-    trace_distance,
     von_neumann_entropy,
 )
 from .overlap import (
     OverlapResult,
-    a_values,
+    PairOverlap,
     brute_force_eta,
     cross_operator,
     eta_optimize,
@@ -52,7 +49,6 @@ from .private_states import (
     key_string_probabilities,
     random_spec,
     tensor_power_spec,
-    tensor_power_state,
     with_shield,
 )
 from .serialize import (

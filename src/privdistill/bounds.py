@@ -60,6 +60,14 @@ def key_rate(spec: PrivateStateSpec) -> float:
 
 @dataclass(frozen=True)
 class PairBound:
+    """Filtering outcome and rates of one key pair i < j.
+
+    `verified_rate` is the rate the simulated filter achieves. `paper_rate`
+    is an uncertified closed form, max(a1, a2) * (1 - H(p_pred)): it exceeds
+    `verified_rate` by the factor d * max(a1, a2) / (2 * min(a1, a2)),
+    because the filter succeeds with probability (2/d) * min(a1, a2).
+    """
+
     i: int
     j: int
     eta: float
@@ -103,8 +111,11 @@ def ed_lower_bound(
     For every key pair i < j the product overlap is maximized, the filters
     are applied to the exact state, and two rates are recorded:
 
-    * paper_rate     max(a1, a2) * (1 - H(p)) with the closed-form p,
-    * verified_rate  simulated success probability * (1 - H(simulated p)).
+    * paper_rate     max(a1, a2) * (1 - H(p)) with the closed-form p, an
+                     uncertified closed form that exceeds verified_rate by
+                     the factor d * max(a1, a2) / (2 * min(a1, a2));
+    * verified_rate  simulated success probability * (1 - H(simulated p)),
+                     the rate the protocol achieves.
 
     Pairs whose overlap ascent never converged are kept in the report but
     excluded from the best-pair selection.
@@ -123,7 +134,6 @@ def ed_lower_bound(
         filters = build_filters(spec, i, j, result)
         outcome = apply_filter(state, filters)
         pred = predict_outcome(result, d=spec.d)
-        assert result.a1 is not None and result.a2 is not None
         bounds.append(
             PairBound(
                 i=i,

@@ -19,7 +19,6 @@ are deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 
@@ -39,6 +38,7 @@ from .serialize import (
     spec_to_json,
     state_to_json,
     write_json,
+    write_text,
 )
 
 ENV_PREFIX = "PRIVDISTILL_"
@@ -105,59 +105,48 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eta(args: argparse.Namespace) -> int:
+def _pair_report(args: argparse.Namespace):
+    """Spec, overlap result and the start of the report for one key pair."""
     spec = _load_spec(args.spec)
     result = optimize_pair(
         spec, args.i, args.j,
         restarts=args.restarts, max_iters=args.max_iters,
         conv_tol=args.conv_tol, seed=args.seed,
     )
-    write_json(
-        {
-            "config": _optimizer_config(args),
-            "i": args.i,
-            "j": args.j,
-            "eta": result.eta,
-            "theta": result.theta,
-            "a1": result.a1,
-            "a2": result.a2,
-            "converged": result.converged,
-            "sweeps": result.sweeps,
-        },
-        args.out,
-    )
+    report = {
+        "config": _optimizer_config(args),
+        "i": args.i,
+        "j": args.j,
+        "eta": result.eta,
+        "theta": result.theta,
+        "a1": result.a1,
+        "a2": result.a2,
+        "converged": result.converged,
+    }
+    return spec, result, report
+
+
+def cmd_eta(args: argparse.Namespace) -> int:
+    _, result, report = _pair_report(args)
+    report["sweeps"] = result.sweeps
+    write_json(report, args.out)
     return 0
 
 
 def cmd_distill(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
-    result = optimize_pair(
-        spec, args.i, args.j,
-        restarts=args.restarts, max_iters=args.max_iters,
-        conv_tol=args.conv_tol, seed=args.seed,
-    )
+    spec, result, report = _pair_report(args)
     filters = build_filters(spec, args.i, args.j, result, variant=args.variant)
     outcome = apply_filter(build_private_state(spec), filters)
     pred = predict_outcome(result, d=spec.d)
-    write_json(
-        {
-            "config": _optimizer_config(args),
-            "i": args.i,
-            "j": args.j,
-            "variant": filters.variant,
-            "eta": result.eta,
-            "theta": result.theta,
-            "a1": result.a1,
-            "a2": result.a2,
-            "converged": result.converged,
-            "success_pred": pred.success,
-            "success_sim": outcome.success,
-            "p_pred": pred.p,
-            "p_sim": outcome.p,
-            "structure_residual": outcome.residual,
-        },
-        args.out,
+    report.update(
+        variant=filters.variant,
+        success_pred=pred.success,
+        success_sim=outcome.success,
+        p_pred=pred.p,
+        p_sim=outcome.p,
+        structure_residual=outcome.residual,
     )
+    write_json(report, args.out)
     if args.post_out:
         write_json(state_to_json(outcome.state), args.post_out)
     return 0
@@ -198,8 +187,7 @@ def _best_pair_row(report: BoundReport) -> tuple[float, float, float, float]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = random_spec(args.d, args.parties, args.shield_dims, args.seed)
     total = base.shield_total_dim
-    buf = io.StringIO()
-    buf.write("knob,eta,p,paper_rate,verified_rate\n")
+    lines = ["knob,eta,p,paper_rate,verified_rate\n"]
     for raw in args.values.split(","):
         if args.knob == "shield-rank":
             rank = int(raw)
@@ -219,13 +207,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             conv_tol=args.conv_tol, seed=args.seed,
         )
         eta, p, paper, verified = _best_pair_row(report)
-        buf.write(f"{label},{eta!r},{p!r},{paper!r},{verified!r}\n")
-    text = buf.getvalue()
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        lines.append(f"{label},{eta!r},{p!r},{paper!r},{verified!r}\n")
+    write_text("".join(lines), args.out)
     return 0
 
 

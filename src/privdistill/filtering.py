@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import factor_permutation, kron_all, layout
-from .overlap import OverlapResult
+from .overlap import PairOverlap
 from .private_states import PrivateState
 from .states import DensityMatrix, bell_vector, validate_state
 
@@ -69,15 +69,13 @@ def _two_row_filter(
 
 
 def build_filters(
-    spec, i: int, j: int, result: OverlapResult, variant: str | None = None
+    spec, i: int, j: int, result: PairOverlap, variant: str | None = None
 ) -> FilterSet:
-    """Filter bank for key pair (i, j) from a completed overlap result.
+    """Filter bank for key pair (i, j) from the pair's overlap result.
 
     The variant is chosen from the branch weights (V when a2 >= a1) unless
     forced explicitly.
     """
-    if result.a1 is None or result.a2 is None:
-        raise ValueError("overlap result has no branch weights; run a_values first")
     if len(result.bra_vectors) != spec.parties:
         raise ValueError(
             f"overlap result has {len(result.bra_vectors)} product factors, "
@@ -144,15 +142,13 @@ def apply_filter(state: PrivateState, filters: FilterSet) -> FilterOutcome:
     return FilterOutcome(state=dm, success=success, p=p, residual=residual)
 
 
-def predict_outcome(result: OverlapResult, d: int = 2) -> PredictedOutcome:
+def predict_outcome(result: PairOverlap, d: int = 2) -> PredictedOutcome:
     """Closed-form success probability and Bell-state weight of the filter.
 
     Exactly two of the d equally weighted key branches survive, each with
     weight min(a1, a2)/d, so the success probability is (2/d) min(a1, a2).
     The + Bell state carries p = 1/2 + eta / (2 sqrt(a1 a2)).
     """
-    if result.a1 is None or result.a2 is None:
-        raise ValueError("overlap result has no branch weights; run a_values first")
     a1, a2 = result.a1, result.a2
     if min(a1, a2) <= 0.0:
         raise FilterError(

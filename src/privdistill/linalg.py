@@ -16,7 +16,6 @@ import numpy as np
 HERM_TOL = 1e-12      # entrywise, relative to the largest |entry|
 PSD_TOL = 1e-10       # most negative eigenvalue allowed
 TRACE_TOL = 1e-10
-EIG_RESIDUAL_TOL = 1e-10
 CONV_TOL = 1e-12      # iterative-ascent convergence threshold
 
 
@@ -77,14 +76,6 @@ class SubsystemLayout:
                 f"matrix is {mat.shape[0]}x{mat.shape[1]}"
             )
 
-    def subset(self, labels: Iterable[str]) -> "SubsystemLayout":
-        """Layout restricted to `labels`, in this layout's order."""
-        wanted = set(labels)
-        unknown = wanted - set(self.labels)
-        if unknown:
-            raise LayoutError(f"unknown factor labels {sorted(unknown)}")
-        return SubsystemLayout(tuple(f for f in self.factors if f.label in wanted))
-
 
 def layout(factors: Sequence[tuple[str, int, int, str]]) -> SubsystemLayout:
     """Build a SubsystemLayout from (label, dim, party, role) tuples."""
@@ -114,11 +105,6 @@ def hermiticity_defect(mat: np.ndarray) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(mat - mat.conj().T))) / scale
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -164,56 +150,27 @@ def partial_trace(
     return reduced.reshape(d_keep, d_keep)
 
 
-def hermitian_eig(mat: np.ndarray, herm_tol: float = HERM_TOL) -> HermitianEig:
+def hermitian_eig(mat: np.ndarray) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
     mat = as_complex(mat)
     defect = hermiticity_defect(mat)
-    if defect > herm_tol:
+    if defect > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (scaled defect {defect:.3e})")
     vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
     order = np.argsort(vals)[::-1]
     return HermitianEig(eigenvalues=vals[order], eigenvectors=vecs[:, order])
 
 
-def schmidt_max(
-    vec: np.ndarray, dim_left: int, dim_right: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Best product approximation of a bipartite vector.
-
-    Returns (sigma, left, right) where sigma is the largest singular value
-    of the dim_left x dim_right reshaping of `vec` and the unit vectors
-    satisfy <left (x) right | vec> = sigma (real, nonnegative).
-    """
-    vec = np.asarray(vec, dtype=complex).ravel()
-    if vec.size != dim_left * dim_right:
-        raise ValueError(
-            f"vector length {vec.size} != dim_left*dim_right = {dim_left * dim_right}"
-        )
-    u, s, vh = np.linalg.svd(vec.reshape(dim_left, dim_right))
-    return float(s[0]), u[:, 0].copy(), vh[0, :].copy()
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) * trace norm of a - b, for Hermitian a, b of equal dimension."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    vals = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return float(0.5 * np.sum(np.abs(vals)))
-
-
-def von_neumann_entropy(rho: np.ndarray, neg_tol: float = PSD_TOL) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -sum(lam * log2 lam) of a density matrix, in bits.
 
-    Eigenvalues in [-neg_tol, 0) are clamped to 0; anything more negative
+    Eigenvalues in [-PSD_TOL, 0) are clamped to 0; anything more negative
     is an error.
     """
     rho = as_complex(rho)
     vals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if vals.min(initial=0.0) < -neg_tol:
-        raise ValueError(f"eigenvalue {vals.min():.3e} below -{neg_tol:g}")
+    if vals.min(initial=0.0) < -PSD_TOL:
+        raise ValueError(f"eigenvalue {vals.min():.3e} below -{PSD_TOL:g}")
     vals = np.clip(vals, 0.0, None)
     nz = vals[vals > 0.0]
     if not nz.size:

@@ -15,7 +15,7 @@ re-implementation used to cross-check it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ BRUTE_FORCE_SWEEPS = 50
 BRUTE_FORCE_DIM_CAP = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class OverlapResult:
     """Outcome of a product-overlap maximization.
 
@@ -37,8 +37,6 @@ class OverlapResult:
     overlap: `converged` says whether that start met the convergence test
     within the sweep limit, and `sweeps` is the number of sweeps it ran.
     `start_etas` holds the final overlap of every start, in start order.
-    a1 and a2 (the branch weights of the optimal product vectors) are filled
-    in by `a_values`, which needs the generating spec.
     """
 
     eta: float
@@ -47,9 +45,18 @@ class OverlapResult:
     ket_vectors: list[np.ndarray]
     converged: bool
     sweeps: int
-    a1: float | None = None
-    a2: float | None = None
-    start_etas: list[float] = field(default_factory=list)
+    start_etas: list[float]
+
+
+@dataclass(frozen=True)
+class PairOverlap(OverlapResult):
+    """Overlap result of a key pair (i, j), with the branch weights the
+    filtering stage needs: a1 = <f|U_i rho U_i^dagger|f> and
+    a2 = <g|U_j rho U_j^dagger|g> for the optimal product vectors f, g.
+    """
+
+    a1: float
+    a2: float
 
 
 def cross_operator(spec: PrivateStateSpec, i: int, j: int) -> np.ndarray:
@@ -229,22 +236,11 @@ def eta_optimize(
     )
 
 
-def a_values(
-    spec: PrivateStateSpec, i: int, j: int, result: OverlapResult
-) -> OverlapResult:
-    """Fill in the branch weights of the maximizing product vectors.
-
-    a1 = <f|U_i rho U_i^dagger|f> and a2 = <g|U_j rho U_j^dagger|g>; both are
-    needed by the filtering stage. Returns the same result object.
-    """
-    rho = spec.shield.matrix
-    f = kron_all(result.bra_vectors)
-    g = kron_all(result.ket_vectors)
-    ui = spec.unitaries[i].matrix
-    uj = spec.unitaries[j].matrix
-    result.a1 = float(np.real(f.conj() @ (ui @ rho @ ui.conj().T) @ f))
-    result.a2 = float(np.real(g.conj() @ (uj @ rho @ uj.conj().T) @ g))
-    return result
+def _branch_weight(spec: PrivateStateSpec, k: int, vectors: list[np.ndarray]) -> float:
+    """<v|U_k rho U_k^dagger|v> for the product vector v of `vectors`."""
+    u = spec.unitaries[k].matrix
+    v = kron_all(vectors)
+    return float(np.real(v.conj() @ (u @ spec.shield.matrix @ u.conj().T) @ v))
 
 
 def optimize_pair(
@@ -255,7 +251,7 @@ def optimize_pair(
     max_iters: int = 200,
     conv_tol: float = CONV_TOL,
     seed: int | np.random.SeedSequence = 0,
-) -> OverlapResult:
+) -> PairOverlap:
     """Cross operator, overlap maximization, and branch weights in one call."""
     x = cross_operator(spec, i, j)
     result = eta_optimize(
@@ -266,7 +262,11 @@ def optimize_pair(
         conv_tol=conv_tol,
         seed=seed,
     )
-    return a_values(spec, i, j, result)
+    return PairOverlap(
+        **vars(result),
+        a1=_branch_weight(spec, i, result.bra_vectors),
+        a2=_branch_weight(spec, j, result.ket_vectors),
+    )
 
 
 def brute_force_eta(

@@ -21,7 +21,6 @@ from .linalg import (
     hermitian_eig,
     kron_all,
     layout,
-    permute_factors,
 )
 from .states import DensityMatrix, UnitaryOp, random_density, random_unitary, validate_state
 
@@ -144,41 +143,21 @@ def build_private_state(spec: PrivateStateSpec) -> PrivateState:
             blocks[repeated_key_index(i, d, n), :, repeated_key_index(j, d, n), :] = (
                 ui @ shield @ uj.conj().T
             ) / d
-    dm = validate_state(rho, spec.state_layout())
-    return PrivateState(spec=spec, rho=dm)
+    # No dense check: the spectrum is the shield's (see eigenvectors_of_pdit),
+    # and the shield and unitaries were checked when the spec was made.
+    return PrivateState(spec=spec, rho=DensityMatrix(rho, spec.state_layout()))
 
 
-def key_block(state: PrivateState, i: int, j: int) -> np.ndarray:
-    """Shield-space block of the state at key value pair (i...i, j...j)."""
-    spec = state.spec
-    key_dim = spec.d**spec.parties
-    s = spec.shield_total_dim
-    blocks = state.rho.matrix.reshape(key_dim, s, key_dim, s)
-    return blocks[
-        repeated_key_index(i, spec.d, spec.parties),
-        :,
-        repeated_key_index(j, spec.d, spec.parties),
-        :,
-    ]
-
-
-def eigenvectors_of_pdit(
-    spec: PrivateStateSpec, allow_multipartite: bool = False
-) -> list[tuple[float, np.ndarray]]:
+def eigenvectors_of_pdit(spec: PrivateStateSpec) -> list[tuple[float, np.ndarray]]:
     """Eigenpairs of the private state with eigenvalue above the cutoff.
 
     Each shield eigenpair (lam, phi) lifts to the state eigenpair
 
-        (lam, (1/sqrt d) sum_j |j...j> (x) U_j phi).
+        (lam, (1/sqrt d) sum_j |j...j> (x) U_j phi),
 
-    Stated for two parties; the same formula holds for more and is enabled
-    via `allow_multipartite`.
+    for any number of parties. So the state's spectrum is the shield's,
+    padded with zeros.
     """
-    if spec.parties != 2 and not allow_multipartite:
-        raise ValueError(
-            "eigenvector formula is bipartite; pass allow_multipartite=True "
-            "to apply it to more parties"
-        )
     d, n = spec.d, spec.parties
     key_dim = d**n
     s = spec.shield_total_dim
@@ -203,9 +182,7 @@ def _digits(value: int, base: int, width: int) -> list[int]:
     return out[::-1]  # big-endian: copy 0 is the most significant digit
 
 
-def tensor_power_spec(
-    spec: PrivateStateSpec, m: int, dim_cap: int = DEFAULT_DIM_CAP
-) -> tuple[PrivateStateSpec, np.ndarray]:
+def tensor_power_spec(spec: PrivateStateSpec, m: int) -> tuple[PrivateStateSpec, np.ndarray]:
     """Spec of Gamma^(x m), plus the basis permutation relating the two.
 
     The m-fold tensor power of a private state is itself a private state
@@ -219,9 +196,9 @@ def tensor_power_spec(
     if m < 1:
         raise ValueError(f"power m must be >= 1, got {m}")
     d, n = spec.d, spec.parties
-    if spec.total_dim**m > dim_cap:
+    if spec.total_dim**m > DEFAULT_DIM_CAP:
         raise ValueError(
-            f"tensor power dimension {spec.total_dim**m} exceeds cap {dim_cap}"
+            f"tensor power dimension {spec.total_dim**m} exceeds cap {DEFAULT_DIM_CAP}"
         )
     if m == 1:
         return spec, np.arange(spec.total_dim)
@@ -259,14 +236,6 @@ def tensor_power_spec(
     order += [c * 2 * n + n + k for k in range(n) for c in range(m)]
     perm = factor_permutation(dims_src, order)
     return power_spec, perm
-
-
-def tensor_power_state(state: PrivateState, m: int) -> np.ndarray:
-    """Plain m-fold tensor power of the state's density matrix."""
-    out = state.rho.matrix
-    for _ in range(m - 1):
-        out = np.kron(out, state.rho.matrix)
-    return out
 
 
 def key_string_probabilities(state: PrivateState) -> np.ndarray:

@@ -55,13 +55,17 @@ def matrix_to_json(
 
 
 def matrix_from_json(obj: dict[str, Any]) -> tuple[np.ndarray, SubsystemLayout | None]:
+    """Inverse of `matrix_to_json`; every bit of every entry survives."""
     rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != rows * cols:
-        raise ValueError(f"matrix data has {len(data)} entries, expected {rows * cols}")
-    flat = np.array([complex(re, im) for re, im in data])
+    pairs = np.array(obj["data"])
+    if pairs.dtype.kind not in "biuf":
+        raise ValueError("matrix data must be [re, im] pairs of numbers")
+    if pairs.shape != (rows * cols, 2):
+        raise ValueError(
+            f"matrix data has shape {pairs.shape}, expected ({rows * cols}, 2)"
+        )
     lay = layout_from_json(obj["layout"]) if "layout" in obj else None
-    return flat.reshape(rows, cols), lay
+    return pairs.astype(float, copy=False).view(complex).reshape(rows, cols), lay
 
 
 def state_to_json(state: DensityMatrix) -> dict[str, Any]:
@@ -84,20 +88,28 @@ def spec_to_json(spec: PrivateStateSpec) -> dict[str, Any]:
 
 
 def spec_from_json(obj: dict[str, Any]) -> PrivateStateSpec:
-    """Rebuild a spec, re-validating the shield state and every unitary."""
-    dims = tuple(int(x) for x in obj["shield_dims"])
-    shield_mat, _ = matrix_from_json(obj["shield"])
-    shield = validate_state(shield_mat, shield_layout(dims))
-    unitaries = tuple(
-        validate_unitary(matrix_from_json(u)[0]) for u in obj["unitaries"]
-    )
-    return PrivateStateSpec(
-        d=int(obj["d"]),
-        parties=int(obj["parties"]),
-        shield_dims=dims,
-        unitaries=unitaries,
-        shield=shield,
-    )
+    """Rebuild a spec, re-validating the shield state and every unitary.
+
+    Input of the wrong structure (say a number where a list belongs) or an
+    infinite size raises ValueError, like input of the right structure with
+    bad values.
+    """
+    try:
+        dims = tuple(int(x) for x in obj["shield_dims"])
+        shield_mat, _ = matrix_from_json(obj["shield"])
+        shield = validate_state(shield_mat, shield_layout(dims))
+        unitaries = tuple(
+            validate_unitary(matrix_from_json(u)[0]) for u in obj["unitaries"]
+        )
+        return PrivateStateSpec(
+            d=int(obj["d"]),
+            parties=int(obj["parties"]),
+            shield_dims=dims,
+            unitaries=unitaries,
+            shield=shield,
+        )
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed spec: {exc}") from exc
 
 
 def report_to_json(report: Any) -> Any:
@@ -111,7 +123,11 @@ def dumps(obj: Any) -> str:
 
 def write_json(obj: Any, path: str | None) -> None:
     """Write deterministic JSON to a file, or stdout when path is None/'-'."""
-    text = dumps(obj)
+    write_text(dumps(obj), path)
+
+
+def write_text(text: str, path: str | None) -> None:
+    """Write text to a file, or stdout when path is None/'-'."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:

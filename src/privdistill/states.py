@@ -36,7 +36,11 @@ class StateValidationError(ValueError):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian PSD unit-trace matrix tagged with a subsystem layout."""
+    """Hermitian PSD unit-trace matrix tagged with a subsystem layout.
+
+    Made by `validate_state`, which checks those invariants, and by
+    `build_private_state`, whose output has them by construction.
+    """
 
     matrix: np.ndarray
     layout: SubsystemLayout
@@ -46,30 +50,34 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
+UNITARY_TOL = 1e-10  # Frobenius norm of U^dagger U - I
+
+
 @dataclass(frozen=True)
 class UnitaryOp:
-    """Square matrix with U^dagger U = I within 1e-10 (Frobenius)."""
+    """Square matrix with U^dagger U = I within UNITARY_TOL (Frobenius).
+
+    Checked on construction, so every spec holds only unitaries.
+    """
 
     matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        mat = self.matrix
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"unitary must be square, got shape {mat.shape}")
+        defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0])))
+        if not defect <= UNITARY_TOL:
+            raise ValueError(
+                f"matrix is not unitary (defect {defect:.3e} > {UNITARY_TOL:g})"
+            )
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-def single_factor_layout(dim: int, label: str = "A0", party: int = 0,
-                         role: str = "shield") -> SubsystemLayout:
-    return layout([(label, dim, party, role)])
-
-
-def validate_state(
-    mat: np.ndarray,
-    lay: SubsystemLayout | None = None,
-    *,
-    herm_tol: float = HERM_TOL,
-    psd_tol: float = PSD_TOL,
-    trace_tol: float = TRACE_TOL,
-) -> DensityMatrix:
+def validate_state(mat: np.ndarray, lay: SubsystemLayout | None = None) -> DensityMatrix:
     """Check Hermiticity, positivity, and unit trace; return a DensityMatrix.
 
     Raises StateValidationError listing every violated invariant and by
@@ -79,37 +87,28 @@ def validate_state(
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise StateValidationError([("square", float(abs(mat.shape[0] - mat.shape[-1])))])
     if lay is None:
-        lay = single_factor_layout(mat.shape[0])
+        lay = layout([("A0", mat.shape[0], 0, "shield")])
     lay.check_matches(mat)
 
     violations: list[tuple[str, float]] = []
     defect = hermiticity_defect(mat)
-    if defect > herm_tol:
+    if defect > HERM_TOL:
         violations.append(("hermiticity", defect))
     herm = (mat + mat.conj().T) / 2
     min_eig = float(np.linalg.eigvalsh(herm).min()) if mat.size else 0.0
-    if min_eig < -psd_tol:
+    if min_eig < -PSD_TOL:
         violations.append(("positivity", min_eig))
     trace_err = float(abs(np.trace(mat) - 1.0))
-    if trace_err > trace_tol:
+    if trace_err > TRACE_TOL:
         violations.append(("unit trace", trace_err))
     if violations:
         raise StateValidationError(violations)
     return DensityMatrix(matrix=mat, layout=lay)
 
 
-UNITARY_TOL = 1e-10  # Frobenius norm of U^dagger U - I
-
-
-def validate_unitary(mat: np.ndarray, tol: float = UNITARY_TOL) -> UnitaryOp:
-    """Check that `mat` is unitary (Frobenius defect <= tol)."""
-    mat = as_complex(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"unitary must be square, got shape {mat.shape}")
-    defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0])))
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {tol:g})")
-    return UnitaryOp(matrix=mat)
+def validate_unitary(mat: np.ndarray) -> UnitaryOp:
+    """Convert `mat` to a complex UnitaryOp, which checks that it is unitary."""
+    return UnitaryOp(matrix=as_complex(mat))
 
 
 def random_unitary(dim: int, seed: int) -> UnitaryOp:

@@ -107,6 +107,24 @@ def test_ed_lower_bound_enumerates_all_pairs():
         assert b.verified_rate <= b.success_sim + 1e-12
 
 
+def test_paper_rate_overstates_verified_rate_by_closed_factor():
+    """paper_rate = max(a1, a2) (1 - H(p)), but the filter only succeeds
+    with probability (2/d) min(a1, a2): the two rates differ by exactly
+    d max(a1, a2) / (2 min(a1, a2)), which is above 1 whenever d > 2."""
+    checked = 0
+    for d, dims, seed in [(2, (2, 2), 1), (3, (2, 2), 2), (3, (2, 3), 5), (4, (2, 2), 7)]:
+        report = ed_lower_bound(random_spec(d, 2, dims, seed=seed), restarts=8, seed=seed)
+        for b in report.pairs:
+            if b.verified_rate < 1e-3:
+                continue
+            factor = d * max(b.a1, b.a2) / (2 * min(b.a1, b.a2))
+            assert abs(b.paper_rate / b.verified_rate - factor) <= 1e-10 * factor
+            if d > 2:
+                assert b.paper_rate > b.verified_rate
+            checked += 1
+    assert checked >= 8
+
+
 def test_ed_lower_bound_determinism():
     spec = random_spec(2, 2, (2, 3), seed=8)
     a = ed_lower_bound(spec, restarts=8, seed=5)

@@ -158,3 +158,64 @@ def test_reports_are_byte_identical_across_runs(spec_path, tmp_path):
 def test_bad_shield_dims_argument():
     with pytest.raises(SystemExit):
         main(["gen", "--shield-dims", "2,x"])
+
+
+def _null_entry(obj):
+    obj["shield"]["data"][1] = None
+
+
+def _scalar_entry(obj):
+    obj["unitaries"][0]["data"][0] = 1.0
+
+
+def _string_entry(obj):
+    obj["unitaries"][1]["data"][2] = ["0.5", "0"]
+
+
+def _scalar_shield_dims(obj):
+    obj["shield_dims"] = 4
+
+
+def _null_unitaries(obj):
+    obj["unitaries"] = None
+
+
+def _infinite_shield_dim(obj):
+    obj["shield_dims"][0] = float("inf")
+
+
+MALFORMED = {
+    "null data entry": _null_entry,
+    "scalar data entry": _scalar_entry,
+    "string data entry": _string_entry,
+    "scalar shield_dims": _scalar_shield_dims,
+    "null unitaries": _null_unitaries,
+    "infinite shield dim": _infinite_shield_dim,
+    "top-level list": None,
+}
+SPEC_COMMANDS = {
+    "build": [],
+    "eta": ["--i", "0", "--j", "1", "--restarts", "2"],
+    "distill": ["--i", "0", "--j", "1", "--restarts", "2"],
+    "bound": ["--restarts", "2"],
+    "certify": ["--samples", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SPEC_COMMANDS))
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_spec_gives_one_line_error(spec_path, tmp_path, capsys, command, case):
+    obj = read_json(spec_path)
+    if MALFORMED[case] is None:
+        obj = [obj]
+    else:
+        MALFORMED[case](obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    rc = main([command, "--spec", str(bad), "--out", str(out)] + SPEC_COMMANDS[command])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()

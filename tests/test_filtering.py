@@ -8,7 +8,7 @@ from privdistill.filtering import (
     predict_outcome,
 )
 from privdistill.linalg import kron_all, layout, permute_factors, von_neumann_entropy
-from privdistill.overlap import OverlapResult, optimize_pair
+from privdistill.overlap import PairOverlap, optimize_pair
 from privdistill.private_states import PrivateStateSpec, build_private_state, random_spec
 from privdistill.states import UnitaryOp, bell_vector, validate_state
 
@@ -139,23 +139,12 @@ def test_qutrit_key_success_has_two_thirds_factor():
         assert abs(pred.success - outcome.success) < 1e-12
 
 
-def test_build_filters_requires_branch_weights():
-    spec = random_spec(2, 2, (2, 2), seed=0)
-    from privdistill.overlap import cross_operator, eta_optimize
-
-    res = eta_optimize(cross_operator(spec, 0, 1), spec.shield_dims, seed=0)
-    with pytest.raises(ValueError):
-        build_filters(spec, 0, 1, res)
-    with pytest.raises(ValueError):
-        predict_outcome(res)
-
-
 def test_build_filters_rejects_zero_branch_weight():
-    res = OverlapResult(
+    res = PairOverlap(
         eta=0.0, theta=0.0,
         bra_vectors=[np.array([1, 0], dtype=complex)] * 2,
         ket_vectors=[np.array([0, 1], dtype=complex)] * 2,
-        converged=True, sweeps=1, a1=0.0, a2=0.5,
+        converged=True, sweeps=1, start_etas=[0.0], a1=0.0, a2=0.5,
     )
     spec = random_spec(2, 2, (2, 2), seed=0)
     with pytest.raises(FilterError):

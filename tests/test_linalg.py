@@ -2,51 +2,22 @@ import numpy as np
 import pytest
 
 from privdistill.linalg import (
-    Factor,
     LayoutError,
-    SubsystemLayout,
     factor_permutation,
     hermitian_eig,
     hermiticity_defect,
-    kron,
     kron_all,
     layout,
     partial_trace,
     permute_factors,
-    schmidt_max,
-    trace_distance,
     von_neumann_entropy,
 )
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-# Hand-computed: kron(sigma_x, sigma_z) has exactly four nonzero entries.
-KRON_XZ_ENTRIES = {(0, 2): 1.0, (1, 3): -1.0, (2, 0): 1.0, (3, 1): -1.0}
-
-# 0.5 * (|0.9 - 0.5| + |0.1 - 0.5|)
-TRACE_DIST_ORACLE = 0.4
 
 
 def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (m + m.conj().T) / 2
-
-
-def random_state_vector(dim, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
-def test_kron_oracle():
-    k = kron(SX, SZ)
-    assert k.shape == (4, 4)
-    for (r, c), val in KRON_XZ_ENTRIES.items():
-        assert k[r, c] == val
-    nonzero = {(r, c) for r in range(4) for c in range(4) if k[r, c] != 0}
-    assert nonzero == set(KRON_XZ_ENTRIES)
 
 
 def test_kron_all_matches_repeated_kron():
@@ -148,46 +119,6 @@ def test_hermiticity_defect_scale_invariant():
     assert small == hermiticity_defect(1e6 * m)
 
 
-def test_schmidt_max_product_vector():
-    for seed in range(5):
-        left = random_state_vector(3, seed)
-        right = random_state_vector(4, seed + 50)
-        sigma, f, g = schmidt_max(np.kron(left, right), 3, 4)
-        assert abs(sigma - 1.0) < 1e-12
-        overlap = np.vdot(np.kron(f, g), np.kron(left, right))
-        assert abs(abs(overlap) - 1.0) < 1e-12
-
-
-def test_schmidt_max_overlap_convention():
-    """<left (x) right | v> equals the top singular value, real and >= 0."""
-    for seed in range(5):
-        v = random_state_vector(12, seed)
-        sigma, left, right = schmidt_max(v, 3, 4)
-        overlap = np.vdot(np.kron(left, right), v)
-        assert abs(overlap - sigma) < 1e-12
-        assert sigma <= 1.0 + 1e-12
-        svals = np.linalg.svd(v.reshape(3, 4), compute_uv=False)
-        assert abs(sigma - svals[0]) < 1e-12
-
-
-def test_schmidt_max_dimension_mismatch():
-    with pytest.raises(ValueError):
-        schmidt_max(np.zeros(5), 2, 3)
-
-
-def test_trace_distance_oracle():
-    assert abs(trace_distance(np.eye(2) / 2, np.diag([0.9, 0.1])) - TRACE_DIST_ORACLE) < 1e-15
-    a = random_hermitian(4, 3)
-    assert trace_distance(a, a) == 0.0
-    b = random_hermitian(4, 4)
-    assert abs(trace_distance(a, b) - trace_distance(b, a)) < 1e-12
-
-
-def test_trace_distance_shape_mismatch():
-    with pytest.raises(ValueError):
-        trace_distance(np.eye(2), np.eye(3))
-
-
 def test_entropy_uniform_and_pure():
     for d in (2, 3, 4, 5):
         assert abs(von_neumann_entropy(np.eye(d) / d) - np.log2(d)) < 1e-12
@@ -228,12 +159,3 @@ def test_factor_permutation_three_factors():
     cycled = permute_factors(full, [2, 3, 2], [2, 0, 1])
     expected = kron_all([mats[2], mats[0], mats[1]])
     assert np.abs(cycled - expected).max() < 1e-12
-
-
-def test_subsystem_layout_subset():
-    lay = layout([("K0", 2, 0, "key"), ("K1", 2, 1, "key"), ("S0", 3, 0, "shield")])
-    sub = lay.subset(["K0", "S0"])
-    assert sub.labels == ("K0", "S0")
-    assert sub.total_dim == 6
-    assert isinstance(sub, SubsystemLayout)
-    assert sub.factors[0] == Factor("K0", 2, 0, "key")

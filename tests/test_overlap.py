@@ -1,5 +1,7 @@
 """Product-overlap maximization: oracles, invariants, and the dual route."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from privdistill.linalg import layout
 from privdistill.overlap import (
-    a_values,
     brute_force_eta,
     cross_operator,
     eta_optimize,
@@ -148,6 +149,8 @@ def test_tiny_overlap_warns():
 
 
 def test_a_values_against_direct_formula():
+    """optimize_pair returns a frozen result whose branch weights a1, a2
+    match <f|U_i rho U_i^dagger|f> and <g|U_j rho U_j^dagger|g>."""
     spec = random_spec(3, 2, (2, 2), seed=2)
     res = optimize_pair(spec, 1, 2, restarts=8, seed=3)
     rho = spec.shield.matrix
@@ -158,6 +161,9 @@ def test_a_values_against_direct_formula():
     assert abs(res.a2 - np.vdot(g, u2 @ rho @ u2.conj().T @ g).real) < 1e-13
     assert 0.0 < res.a1 <= 1.0 + 1e-12
     assert 0.0 < res.a2 <= 1.0 + 1e-12
+    assert type(res.a1) is float and type(res.a2) is float
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.a1 = 0.5
 
 
 def test_brute_force_dimension_cap():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from privdistill.linalg import hermitian_eig, layout
 from privdistill.private_states import (
@@ -9,12 +11,10 @@ from privdistill.private_states import (
     build_private_state,
     depolarized_spec,
     eigenvectors_of_pdit,
-    key_block,
     key_string_probabilities,
     random_spec,
     repeated_key_index,
     tensor_power_spec,
-    tensor_power_state,
     with_shield,
 )
 from privdistill.states import UnitaryOp, validate_state
@@ -49,10 +49,12 @@ def test_swap_shield_state_blocks():
     mat = state.rho.matrix
     assert mat.shape == (16, 16)
     assert abs(np.trace(mat) - 1) < 1e-14
-    # diagonal key blocks are I/8, the off-diagonal one is SWAP/8
-    assert np.abs(key_block(state, 0, 0) - np.eye(4) / 8).max() < 1e-15
-    assert np.abs(key_block(state, 1, 1) - np.eye(4) / 8).max() < 1e-15
-    assert np.abs(key_block(state, 0, 1) - SWAP / 8).max() < 1e-15
+    # diagonal key blocks are I/8, the off-diagonal one is SWAP/8; the
+    # repeated key strings |00>, |11> sit at flat key indices 0 and 3
+    blocks = mat.reshape(4, 4, 4, 4)
+    assert np.abs(blocks[0, :, 0, :] - np.eye(4) / 8).max() < 1e-15
+    assert np.abs(blocks[3, :, 3, :] - np.eye(4) / 8).max() < 1e-15
+    assert np.abs(blocks[0, :, 3, :] - SWAP / 8).max() < 1e-15
     # no weight outside the repeated key strings
     probs = key_string_probabilities(state)
     assert np.allclose(probs, [0.5, 0.0, 0.0, 0.5])
@@ -73,6 +75,7 @@ def test_built_state_is_valid_density_matrix():
     ):
         state = build_private_state(random_spec(d, n, dims, seed=seed))
         assert state.rho.dim == d**n * int(np.prod(dims))
+        validate_state(state.rho.matrix, state.rho.layout)
 
 
 def test_eigenvector_lift_matches_direct_diagonalization():
@@ -106,10 +109,10 @@ def test_eigenvectors_skip_null_directions():
 
 
 def test_eigenvectors_multipartite_flag():
+    """The lift needs no opt-in flag: it holds for three parties too."""
     spec = random_spec(2, 3, (2, 2, 2), seed=2)
-    with pytest.raises(ValueError):
-        eigenvectors_of_pdit(spec)
-    pairs = eigenvectors_of_pdit(spec, allow_multipartite=True)
+    pairs = eigenvectors_of_pdit(spec)
+    assert len(pairs) == 8
     state = build_private_state(spec)
     for lam, psi in pairs:
         assert np.linalg.norm(state.rho.matrix @ psi - lam * psi) < 1e-10
@@ -123,7 +126,7 @@ def test_tensor_power_matches_permuted_plain_power():
         assert power_spec.d == 4
         assert power_spec.shield_dims == (4, 4)
         built = build_private_state(power_spec).rho.matrix
-        plain = tensor_power_state(state, 2)
+        plain = np.kron(state.rho.matrix, state.rho.matrix)
         assert np.abs(built - plain[np.ix_(perm, perm)]).max() < 1e-12
 
 
@@ -187,3 +190,32 @@ def test_spec_validation_errors():
     with pytest.raises(ValueError):
         PrivateStateSpec(d=2, parties=2, shield_dims=(2, 2),
                          unitaries=small.unitaries, shield=small.shield)
+
+
+@st.composite
+def spec_shapes(draw):
+    """(d, parties, shield_dims, shield_rank) with total dimension <= 512."""
+    d = draw(st.integers(2, 4))
+    parties = draw(st.integers(2, 4))
+    dims = []
+    for _ in range(parties):
+        room = 512 // (d**parties * int(np.prod(dims, dtype=int)))
+        dims.append(draw(st.integers(1, max(1, min(3, room)))))
+    assume(d**parties * int(np.prod(dims)) <= 512)
+    rank = draw(st.integers(1, int(np.prod(dims))))
+    return d, parties, tuple(dims), rank
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=spec_shapes(), seed=st.integers(0, 2**32 - 1))
+def test_built_state_spectrum_is_the_shields(shape, seed):
+    """The build runs no dense check, so its output must pass one: the state
+    is a valid density matrix whose spectrum is the shield's plus zeros."""
+    d, parties, dims, rank = shape
+    spec = random_spec(d, parties, dims, seed=seed, shield_rank=rank)
+    state = build_private_state(spec)
+    validate_state(state.rho.matrix, state.rho.layout)
+    got = np.linalg.eigvalsh(state.rho.matrix)
+    shield = np.linalg.eigvalsh(spec.shield.matrix)
+    want = np.sort(np.concatenate([shield, np.zeros(spec.total_dim - shield.size)]))
+    assert np.abs(got - want).max() <= 1e-12

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privdistill.bounds import ed_lower_bound, ef_certificate
-from privdistill.private_states import build_private_state, random_spec
+from privdistill.private_states import build_private_state, random_spec, with_shield
 from privdistill.serialize import (
     dumps,
     matrix_from_json,
@@ -17,7 +20,7 @@ from privdistill.serialize import (
     state_to_json,
     write_json,
 )
-from privdistill.states import StateValidationError
+from privdistill.states import StateValidationError, UnitaryOp
 
 
 def test_matrix_round_trip_is_exact():
@@ -44,6 +47,42 @@ def test_spec_round_trip():
     assert np.array_equal(back.shield.matrix, spec.shield.matrix)
     for ua, ub in zip(back.unitaries, spec.unitaries):
         assert np.array_equal(ua.matrix, ub.matrix)
+
+
+def _bits(mat):
+    return np.ascontiguousarray(mat).view(np.int64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 3),
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    phases=st.lists(st.sampled_from([1, -1, 1j, -1j]), min_size=3, max_size=3),
+)
+def test_spec_json_round_trip_is_bit_exact(d, dims, seed, phases):
+    """Every entry comes back with the same bits, signed zeros included.
+
+    The unitaries are signed permutations, whose zero entries carry both
+    signs in both parts, and the shield's diagonal has negative-zero
+    imaginary parts.
+    """
+    spec = random_spec(d, len(dims), dims, seed=seed)
+    s = spec.shield_total_dim
+    rng = np.random.default_rng(seed)
+    perms = [np.eye(s, dtype=complex)[rng.permutation(s)] for _ in range(d)]
+    unitaries = tuple(UnitaryOp(phases[k] * perms[k]) for k in range(d))
+    shield = spec.shield.matrix.copy()
+    np.fill_diagonal(shield.imag, -0.0)
+    spec = with_shield(
+        dataclasses.replace(spec, unitaries=unitaries), shield
+    )
+    back = spec_from_json(json.loads(dumps(spec_to_json(spec))))
+    assert (back.d, back.parties, back.shield_dims) == (spec.d, spec.parties, spec.shield_dims)
+    assert np.array_equal(_bits(back.shield.matrix), _bits(spec.shield.matrix))
+    for ua, ub in zip(back.unitaries, spec.unitaries):
+        assert np.array_equal(_bits(ua.matrix), _bits(ub.matrix))
+    assert np.signbit(back.shield.matrix.diagonal().imag).all()
 
 
 def test_spec_from_json_revalidates():

@@ -4,6 +4,7 @@ import pytest
 from privdistill.linalg import layout
 from privdistill.states import (
     StateValidationError,
+    UnitaryOp,
     bell_vector,
     random_density,
     random_unitary,
@@ -95,6 +96,16 @@ def test_validate_unitary():
         validate_unitary(1.1 * u)
     with pytest.raises(ValueError):
         validate_unitary(np.ones((2, 3)))
+
+
+def test_non_unitary_op_raises_at_construction():
+    UnitaryOp(np.eye(3, dtype=complex))
+    with pytest.raises(ValueError, match="not unitary"):
+        UnitaryOp(2 * np.eye(3, dtype=complex))
+    with pytest.raises(ValueError, match="not unitary"):
+        UnitaryOp(np.full((2, 2), np.nan, dtype=complex))
+    with pytest.raises(ValueError, match="square"):
+        UnitaryOp(np.eye(2, 3, dtype=complex))
 
 
 def test_bell_vector_qubit_oracle():
