@@ -60,6 +60,7 @@ from .serialize import (
     state_from_json,
     state_to_json,
     write_json,
+    write_matrix,
 )
 from .states import (
     DensityMatrix,

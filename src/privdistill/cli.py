@@ -36,8 +36,8 @@ from .serialize import (
     report_to_json,
     spec_from_json,
     spec_to_json,
-    state_to_json,
     write_json,
+    write_matrix,
     write_text,
 )
 
@@ -100,8 +100,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     if args.power > 1:
         spec, _ = tensor_power_spec(spec, args.power)
-    state = build_private_state(spec)
-    write_json(state_to_json(state.rho), args.out)
+    rho = build_private_state(spec).rho
+    write_matrix(rho.matrix, rho.layout, args.out)
     return 0
 
 
@@ -148,7 +148,8 @@ def cmd_distill(args: argparse.Namespace) -> int:
     )
     write_json(report, args.out)
     if args.post_out:
-        write_json(state_to_json(outcome.state), args.post_out)
+        post = outcome.state
+        write_matrix(post.matrix, post.layout, args.post_out)
     return 0
 
 

@@ -161,22 +161,23 @@ def hermitian_eig(mat: np.ndarray) -> HermitianEig:
     return HermitianEig(eigenvalues=vals[order], eigenvectors=vecs[:, order])
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """Entropy -sum(lam * log2 lam) of a density matrix, in bits.
 
-    Eigenvalues in [-PSD_TOL, 0) are clamped to 0; anything more negative
-    is an error.
+    `rho` may also be a stack of shape (..., n, n); the result then has
+    shape (...), one entropy per matrix. Eigenvalues in [-PSD_TOL, 0) are
+    clamped to 0; anything more negative is an error.
     """
     rho = as_complex(rho)
-    vals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if vals.min(initial=0.0) < -PSD_TOL:
-        raise ValueError(f"eigenvalue {vals.min():.3e} below -{PSD_TOL:g}")
+    vals = np.linalg.eigvalsh((rho + np.swapaxes(rho.conj(), -1, -2)) / 2)
+    low = vals.min(initial=0.0)
+    if low < -PSD_TOL:
+        raise ValueError(f"eigenvalue {low:.3e} below -{PSD_TOL:g}")
     vals = np.clip(vals, 0.0, None)
-    nz = vals[vals > 0.0]
-    if not nz.size:
-        return 0.0
+    logs = np.log2(vals, out=np.zeros_like(vals), where=vals > 0.0)
     # an eigenvalue a hair above 1 would otherwise give a tiny negative
-    return max(float(-np.sum(nz * np.log2(nz))), 0.0)
+    out = np.maximum(-np.sum(vals * logs, axis=-1), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def factor_permutation(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:

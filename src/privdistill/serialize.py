@@ -3,6 +3,12 @@
 Complex matrices are stored row-major as [re, im] pairs. Output is always
 `json.dumps(obj, sort_keys=True, indent=2)` so that identical inputs give
 byte-identical files; nothing time- or host-dependent is ever embedded.
+Dense matrices are written by `write_matrix`, which produces the same bytes
+without the pure-Python indent encoder, in blocks of rows.
+
+Sizes read from JSON (dimensions, row and column counts, party indices)
+must be JSON integers: a string, a float or a bool raises ValueError rather
+than being cast.
 """
 
 from __future__ import annotations
@@ -10,13 +16,31 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
-from typing import Any
+from numbers import Integral
+from typing import Any, Iterable
 
 import numpy as np
 
-from .linalg import Factor, SubsystemLayout
+from .linalg import Factor, SubsystemLayout, as_complex
 from .private_states import PrivateStateSpec, shield_layout
 from .states import DensityMatrix, validate_state, validate_unitary
+
+
+# Entries per block of rows that `write_matrix` formats at once; bounds the
+# text held in memory while a large matrix is written.
+WRITE_BLOCK = 1 << 15
+
+# One [re, im] entry as `json.dumps(..., indent=2)` lays it out inside the
+# top-level "data" list. `%r` of a float is `float.__repr__`, which is how
+# json writes finite floats.
+_ENTRY = ",\n    [\n      %r,\n      %r\n    ]"
+
+
+def _size(value: Any, what: str) -> int:
+    """A size or index read from JSON; only integers are accepted."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def layout_to_json(lay: SubsystemLayout) -> list[dict[str, Any]]:
@@ -31,8 +55,8 @@ def layout_from_json(obj: list[dict[str, Any]]) -> SubsystemLayout:
         factors=tuple(
             Factor(
                 label=str(f["label"]),
-                dim=int(f["dim"]),
-                party=int(f["party"]),
+                dim=_size(f["dim"], "layout dim"),
+                party=_size(f["party"], "layout party"),
                 role=str(f["role"]),
             )
             for f in obj
@@ -40,23 +64,53 @@ def layout_from_json(obj: list[dict[str, Any]]) -> SubsystemLayout:
     )
 
 
-def matrix_to_json(
-    mat: np.ndarray, lay: SubsystemLayout | None = None
+def _matrix_obj(
+    mat: np.ndarray, lay: SubsystemLayout | None, data: list
 ) -> dict[str, Any]:
-    mat = np.asarray(mat, dtype=complex)
-    out: dict[str, Any] = {
-        "rows": mat.shape[0],
-        "cols": mat.shape[1],
-        "data": [[float(z.real), float(z.imag)] for z in mat.ravel()],
-    }
+    out: dict[str, Any] = {"rows": mat.shape[0], "cols": mat.shape[1], "data": data}
     if lay is not None:
         out["layout"] = layout_to_json(lay)
     return out
 
 
+def matrix_to_json(
+    mat: np.ndarray, lay: SubsystemLayout | None = None
+) -> dict[str, Any]:
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    return _matrix_obj(mat, lay, mat.view(float).reshape(-1, 2).tolist())
+
+
+def _matrix_text(mat: np.ndarray, lay: SubsystemLayout | None) -> Iterable[str]:
+    """`dumps(matrix_to_json(mat, lay))` in pieces, one block of rows each."""
+    if mat.size == 0:
+        yield dumps(matrix_to_json(mat, lay))
+        return
+    head, _, tail = dumps(_matrix_obj(mat, lay, [])).partition('"data": []')
+    yield head + '"data": ['
+    step = max(1, WRITE_BLOCK // mat.shape[1])
+    for start in range(0, mat.shape[0], step):
+        flat = mat[start : start + step].view(float).ravel().tolist()
+        text = _ENTRY * (len(flat) // 2) % tuple(flat)
+        yield text[1:] if start == 0 else text  # no comma before the first
+    yield "\n  ]" + tail
+
+
+def write_matrix(
+    mat: np.ndarray, lay: SubsystemLayout | None, path: str | None
+) -> None:
+    """Write `dumps(matrix_to_json(mat, lay))` to a file or stdout.
+
+    The bytes are the same, but the text is formatted a block of rows at a
+    time and never held whole, so memory stays near the matrix's own size.
+    Entries must be finite (json would write NaN, which is not JSON).
+    """
+    mat = np.ascontiguousarray(as_complex(mat))
+    _write_pieces(_matrix_text(mat, lay), path)
+
+
 def matrix_from_json(obj: dict[str, Any]) -> tuple[np.ndarray, SubsystemLayout | None]:
     """Inverse of `matrix_to_json`; every bit of every entry survives."""
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _size(obj["rows"], "rows"), _size(obj["cols"], "cols")
     pairs = np.array(obj["data"])
     if pairs.dtype.kind not in "biuf":
         raise ValueError("matrix data must be [re, im] pairs of numbers")
@@ -95,15 +149,15 @@ def spec_from_json(obj: dict[str, Any]) -> PrivateStateSpec:
     bad values.
     """
     try:
-        dims = tuple(int(x) for x in obj["shield_dims"])
+        dims = tuple(_size(x, "shield dim") for x in obj["shield_dims"])
         shield_mat, _ = matrix_from_json(obj["shield"])
         shield = validate_state(shield_mat, shield_layout(dims))
         unitaries = tuple(
             validate_unitary(matrix_from_json(u)[0]) for u in obj["unitaries"]
         )
         return PrivateStateSpec(
-            d=int(obj["d"]),
-            parties=int(obj["parties"]),
+            d=_size(obj["d"], "d"),
+            parties=_size(obj["parties"], "parties"),
             shield_dims=dims,
             unitaries=unitaries,
             shield=shield,
@@ -128,11 +182,15 @@ def write_json(obj: Any, path: str | None) -> None:
 
 def write_text(text: str, path: str | None) -> None:
     """Write text to a file, or stdout when path is None/'-'."""
+    _write_pieces((text,), path)
+
+
+def _write_pieces(pieces: Iterable[str], path: str | None) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def read_json(path: str) -> Any:

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from privdistill.bounds import (
+    CERT_BLOCK,
     binary_entropy,
     ed_lower_bound,
     ef_certificate,
     hashing_rate,
     key_rate,
 )
-from privdistill.linalg import layout
-from privdistill.private_states import PrivateStateSpec, random_spec
+from privdistill.linalg import layout, partial_trace, von_neumann_entropy
+from privdistill.private_states import PrivateStateSpec, eigenvectors_of_pdit, random_spec
 from privdistill.states import UnitaryOp, validate_state
 
 # -p log2 p - (1-p) log2 (1-p) at p = 1/4, frozen to full precision
@@ -180,3 +181,62 @@ def test_ef_certificate_failure_path_produces_witness():
     assert cert.witness is not None
     assert cert.witness["sample"] == 0
     assert len(cert.witness["coefficients"]) == 4
+
+
+def loop_certificate(spec, samples, seed, tol):
+    """The certificate one sample at a time, with a dense partial trace:
+    (min entropy, mean entropy, max identity residual, first witness)."""
+    basis = np.array([psi for _, psi in eigenvectors_of_pdit(spec)])
+    d, (s_a, s_b) = spec.d, spec.shield_dims
+    bound = float(np.log2(d))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    entropies, residuals, witness = [], [], None
+    for idx in range(samples):
+        coeff = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+        coeff /= np.linalg.norm(coeff)
+        psi = coeff @ basis
+        rho_a = partial_trace(np.outer(psi, psi.conj()), spec.state_layout(), ["K0", "S0"])
+        direct = von_neumann_entropy(rho_a)
+        blocks = psi.reshape(d, d, s_a, s_b)
+        branch = 0.0
+        for j in range(d):
+            chi = np.sqrt(d) * blocks[j, j]
+            branch += von_neumann_entropy(chi @ chi.conj().T)
+        entropies.append(direct)
+        residuals.append(abs(direct - (bound + branch / d)))
+        if witness is None and (direct - bound < -tol or residuals[-1] > tol):
+            witness = (idx, [[float(c.real), float(c.imag)] for c in coeff])
+    return min(entropies), float(np.mean(entropies)), max(residuals), witness
+
+
+@pytest.mark.parametrize(
+    "d, dims, rank, samples",
+    [(2, (2, 2), None, 1), (2, (3, 2), 2, CERT_BLOCK + 1), (3, (2, 3), None, 130),
+     (4, (2, 2), None, 2 * CERT_BLOCK)],
+)
+def test_ef_certificate_matches_per_sample_loop(d, dims, rank, samples):
+    """Batched blocks (including a partial last one) give the loop's fields."""
+    spec = random_spec(d, 2, dims, seed=d + samples, shield_rank=rank)
+    cert = ef_certificate(spec, samples=samples, seed=5)
+    low, mean, worst, witness = loop_certificate(spec, samples, 5, 1e-9)
+    assert cert.passed and witness is None
+    assert abs(cert.min_entropy - low) <= 1e-12
+    assert abs(cert.mean_entropy - mean) <= 1e-12
+    assert abs(cert.max_identity_residual - worst) <= 1e-12
+    assert cert.min_margin == cert.min_entropy - cert.lower_bound
+
+
+def test_ef_certificate_witness_matches_per_sample_loop():
+    """Same sample index and bit-identical coefficients on the failure path."""
+    spec = random_spec(3, 2, (2, 2), seed=8)
+    cert = ef_certificate(spec, samples=CERT_BLOCK + 3, seed=4, tol=-1.0)
+    _, _, _, (index, coefficients) = loop_certificate(spec, CERT_BLOCK + 3, 4, -1.0)
+    assert not cert.passed
+    assert cert.witness["sample"] == index
+    got = np.array(cert.witness["coefficients"])
+    assert np.array_equal(got.view(np.int64), np.array(coefficients).view(np.int64))
+
+
+def test_ef_certificate_needs_a_sample():
+    with pytest.raises(ValueError):
+        ef_certificate(swap_shield_spec(), samples=0)

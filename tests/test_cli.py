@@ -3,7 +3,10 @@ import json
 import pytest
 
 from privdistill.cli import main
-from privdistill.serialize import read_json
+from privdistill.filtering import apply_filter, build_filters
+from privdistill.overlap import optimize_pair
+from privdistill.private_states import build_private_state, tensor_power_spec
+from privdistill.serialize import dumps, read_json, spec_from_json, state_to_json
 
 
 @pytest.fixture()
@@ -39,6 +42,26 @@ def test_build_tensor_power(spec_path, tmp_path):
     out = tmp_path / "state2.json"
     assert main(["build", "--spec", spec_path, "--power", "2", "--out", str(out)]) == 0
     assert read_json(str(out))["rows"] == 256
+
+
+def test_dense_state_files_are_the_indent_encoders_bytes(spec_path, tmp_path):
+    """`build`, `build --power 2` and `distill --post-out` write exactly
+    `dumps(state_to_json(...))` of the state they compute."""
+    spec = spec_from_json(read_json(spec_path))
+    power_spec, _ = tensor_power_spec(spec, 2)
+    result = optimize_pair(spec, 0, 1, restarts=6, seed=3)
+    post = apply_filter(build_private_state(spec), build_filters(spec, 0, 1, result)).state
+    runs = [
+        (["build", "--spec", spec_path, "--out"], build_private_state(spec).rho),
+        (["build", "--spec", spec_path, "--power", "2", "--out"],
+         build_private_state(power_spec).rho),
+        (["distill", "--spec", spec_path, "--i", "0", "--j", "1", "--restarts", "6",
+          "--seed", "3", "--out", str(tmp_path / "report.json"), "--post-out"], post),
+    ]
+    for k, (args, state) in enumerate(runs):
+        out = tmp_path / f"state{k}.json"
+        assert main(args + [str(out)]) == 0
+        assert out.read_bytes() == dumps(state_to_json(state)).encode()
 
 
 def test_eta_command_report(spec_path, tmp_path):
@@ -184,6 +207,22 @@ def _infinite_shield_dim(obj):
     obj["shield_dims"][0] = float("inf")
 
 
+def _string_shield_dims(obj):
+    obj["shield_dims"] = "22"
+
+
+def _float_d(obj):
+    obj["d"] = 2.9
+
+
+def _float_rows(obj):
+    obj["shield"]["rows"] = 4.7
+
+
+def _bool_shield_dim(obj):
+    obj["shield_dims"] = [True, 4]  # would be read as (1, 4), which fits the shield
+
+
 MALFORMED = {
     "null data entry": _null_entry,
     "scalar data entry": _scalar_entry,
@@ -191,6 +230,10 @@ MALFORMED = {
     "scalar shield_dims": _scalar_shield_dims,
     "null unitaries": _null_unitaries,
     "infinite shield dim": _infinite_shield_dim,
+    "string shield_dims": _string_shield_dims,
+    "float d": _float_d,
+    "float rows": _float_rows,
+    "bool shield dim": _bool_shield_dim,
     "top-level list": None,
 }
 SPEC_COMMANDS = {

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from privdistill.filtering import (
     FilterError,
@@ -166,3 +168,23 @@ def test_bad_variant_rejected():
     res = optimize_pair(spec, 0, 1, seed=0)
     with pytest.raises(ValueError):
         build_filters(spec, 0, 1, res, variant="X")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_simulated_outcome_identities_on_generated_specs(d, dims, seed, data):
+    """success = (2/d) min(a1, a2) and p = 1/2 + eta / (2 sqrt(a1 a2)) for
+    the simulated filter, whatever the spec and key pair."""
+    i = data.draw(st.integers(0, d - 2))
+    j = data.draw(st.integers(i + 1, d - 1))
+    assume(d ** len(dims) * int(np.prod(dims)) <= 512)
+    spec = random_spec(d, len(dims), tuple(dims), seed=seed)
+    res = optimize_pair(spec, i, j, restarts=4, seed=seed)
+    outcome = apply_filter(build_private_state(spec), build_filters(spec, i, j, res))
+    assert abs(outcome.success - 2 / d * min(res.a1, res.a2)) <= 1e-9
+    assert abs(outcome.p - (0.5 + res.eta / (2 * np.sqrt(res.a1 * res.a2)))) <= 1e-9

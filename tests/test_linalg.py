@@ -134,6 +134,28 @@ def test_entropy_clamps_tiny_negatives():
         von_neumann_entropy(np.diag([1.1, -0.1]))
 
 
+def test_entropy_of_a_stack_matches_per_matrix_loop():
+    rng = np.random.default_rng(21)
+    g = rng.normal(size=(3, 4, 5, 5)) + 1j * rng.normal(size=(3, 4, 5, 5))
+    stack = g @ g.conj().transpose(0, 1, 3, 2)
+    stack /= np.trace(stack, axis1=2, axis2=3)[..., None, None]
+    stack[1, 2] = np.diag([1.0, 0, 0, 0, 0])  # pure: entropy 0
+    got = von_neumann_entropy(stack)
+    assert got.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        assert abs(got[idx] - von_neumann_entropy(stack[idx])) <= 1e-14
+    assert got[1, 2] == 0.0
+
+
+def test_entropy_of_a_stack_rejects_one_negative_eigenvalue():
+    stack = np.stack([np.eye(2) / 2, np.diag([1.0 + 5e-11, -5e-11]), np.diag([1.1, -0.1])])
+    with pytest.raises(ValueError, match="below"):
+        von_neumann_entropy(stack)
+    assert (von_neumann_entropy(stack[:2]) >= 0.0).all()
+    with pytest.raises(ValueError):
+        von_neumann_entropy(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+
+
 def test_factor_permutation_swaps_kron_order():
     rng = np.random.default_rng(11)
     for da, db in [(2, 3), (3, 4), (2, 2)]:

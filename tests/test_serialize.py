@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privdistill import serialize
 from privdistill.bounds import ed_lower_bound, ef_certificate
+from privdistill.linalg import layout
 from privdistill.private_states import build_private_state, random_spec, with_shield
 from privdistill.serialize import (
     dumps,
@@ -19,6 +24,7 @@ from privdistill.serialize import (
     state_from_json,
     state_to_json,
     write_json,
+    write_matrix,
 )
 from privdistill.states import StateValidationError, UnitaryOp
 
@@ -133,3 +139,36 @@ def test_float_repr_survives_round_trip():
     obj = matrix_to_json(np.array([vals], dtype=complex))
     back, _ = matrix_from_json(json.loads(json.dumps(obj)))
     assert [z.real for z in back[0]] == vals
+
+
+EDGE_FLOATS = [0.0, -0.0, 1.0, -3.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300,
+               1e16, 0.1, 1 / 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    values=st.lists(
+        st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=72, max_size=72,
+    ),
+    with_layout=st.booleans(),
+    block=st.integers(1, 40),
+)
+def test_write_matrix_bytes_equal_the_indent_encoder(shape, values, with_layout, block):
+    """Signed zeros, subnormals, 1e+-300 and integral floats are written as
+    json writes them, for any number of rows per block."""
+    rows, cols = shape
+    mat = np.array(values[: 2 * rows * cols]).view(complex).reshape(rows, cols)
+    lay = layout([("K0", 2, 0, "key"), ("S0", 3, 0, "shield")]) if with_layout else None
+    out = io.StringIO()
+    with mock.patch.object(serialize, "WRITE_BLOCK", block), contextlib.redirect_stdout(out):
+        write_matrix(mat, lay, "-")
+    assert out.getvalue() == dumps(matrix_to_json(mat, lay))
+
+
+def test_write_matrix_rejects_non_finite(tmp_path):
+    path = tmp_path / "nan.json"
+    with pytest.raises(ValueError):
+        write_matrix(np.array([[np.nan]]), None, str(path))
+    assert not path.exists()
