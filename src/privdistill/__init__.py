@@ -17,11 +17,11 @@ from .filtering import (
     PredictedOutcome,
     apply_filter,
     build_filters,
+    filter_outcome,
     predict_outcome,
 )
 from .linalg import (
     Factor,
-    HermitianEig,
     LayoutError,
     SubsystemLayout,
     factor_permutation,
@@ -39,6 +39,7 @@ from .overlap import (
     cross_operator,
     eta_optimize,
     optimize_pair,
+    optimize_pairs,
 )
 from .private_states import (
     PrivateState,
@@ -46,7 +47,6 @@ from .private_states import (
     build_private_state,
     depolarized_spec,
     eigenvectors_of_pdit,
-    key_string_probabilities,
     random_spec,
     tensor_power_spec,
     with_shield,
@@ -57,7 +57,6 @@ from .serialize import (
     read_json,
     spec_from_json,
     spec_to_json,
-    state_from_json,
     state_to_json,
     write_json,
     write_matrix,

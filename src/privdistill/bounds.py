@@ -16,15 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import apply_filter, build_filters, predict_outcome
+from .filtering import build_filters, filter_outcome, predict_outcome
 from .linalg import CONV_TOL, von_neumann_entropy
-from .overlap import optimize_pair
-from .private_states import (
-    PrivateState,
-    PrivateStateSpec,
-    build_private_state,
-    eigenvectors_of_pdit,
-)
+from .overlap import optimize_pairs
+from .private_states import PrivateState, PrivateStateSpec, eigenvectors_of_pdit
 
 P_TOL = 1e-12
 CERT_TOL = 1e-9
@@ -113,8 +108,10 @@ def ed_lower_bound(
 ) -> BoundReport:
     """Filtering-protocol lower bound on distillable entanglement.
 
-    For every key pair i < j the product overlap is maximized, the filters
-    are applied to the exact state, and two rates are recorded:
+    The product overlaps of all key pairs i < j are maximized in one batched
+    ascent (`optimize_pairs`). Each pair's filters are then simulated on the
+    private state through its generating data (`filter_outcome`, no dense
+    state), and two rates are recorded:
 
     * paper_rate     max(a1, a2) * (1 - H(p)) with the closed-form p, an
                      uncertified closed form that exceeds verified_rate by
@@ -124,20 +121,22 @@ def ed_lower_bound(
 
     Pairs whose overlap ascent never converged are kept in the report but
     excluded from the best-pair selection.
+
+    `state` is kept for call compatibility and is not read; if given, it
+    must be the state of this very spec object.
     """
-    if state is None:
-        state = build_private_state(spec)
+    if state is not None and state.spec is not spec:
+        raise ValueError("state was built from another spec")
     pair_list = [(i, j) for i in range(spec.d) for j in range(i + 1, spec.d)]
-    children = np.random.SeedSequence(seed).spawn(len(pair_list))
+    results = optimize_pairs(
+        spec, pair_list,
+        restarts=restarts, max_iters=max_iters, conv_tol=conv_tol, seed=seed,
+    )
 
     bounds: list[PairBound] = []
-    for (i, j), child in zip(pair_list, children):
-        result = optimize_pair(
-            spec, i, j,
-            restarts=restarts, max_iters=max_iters, conv_tol=conv_tol, seed=child,
-        )
+    for (i, j), result in zip(pair_list, results):
         filters = build_filters(spec, i, j, result)
-        outcome = apply_filter(state, filters)
+        outcome = filter_outcome(spec, filters)
         pred = predict_outcome(result, d=spec.d)
         bounds.append(
             PairBound(

@@ -23,10 +23,11 @@ import os
 import sys
 
 from .bounds import BoundReport, ed_lower_bound, ef_certificate
-from .filtering import apply_filter, build_filters, predict_outcome
+from .filtering import build_filters, filter_outcome, predict_outcome
 from .overlap import optimize_pair
 from .private_states import (
     build_private_state,
+    check_dense_dim,
     depolarized_spec,
     random_spec,
     tensor_power_spec,
@@ -99,6 +100,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     if args.power > 1:
+        # refuse before the power's generating data is made, not after
+        check_dense_dim(spec.total_dim**args.power)
         spec, _ = tensor_power_spec(spec, args.power)
     rho = build_private_state(spec).rho
     write_matrix(rho.matrix, rho.layout, args.out)
@@ -136,7 +139,7 @@ def cmd_eta(args: argparse.Namespace) -> int:
 def cmd_distill(args: argparse.Namespace) -> int:
     spec, result, report = _pair_report(args)
     filters = build_filters(spec, args.i, args.j, result, variant=args.variant)
-    outcome = apply_filter(build_private_state(spec), filters)
+    outcome = filter_outcome(spec, filters)
     pred = predict_outcome(result, d=spec.d)
     report.update(
         variant=filters.variant,

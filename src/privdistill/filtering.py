@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import factor_permutation, kron_all, layout
 from .overlap import PairOverlap
-from .private_states import PrivateState
+from .private_states import PrivateState, PrivateStateSpec
 from .states import DensityMatrix, bell_vector, validate_state
 
 SUCCESS_FLOOR = 1e-14
@@ -109,13 +109,12 @@ def build_filters(
 
 
 def apply_filter(state: PrivateState, filters: FilterSet) -> FilterOutcome:
-    """Apply one filter per party; return the surviving state and statistics.
+    """Apply one filter per party to the dense state; the reference for
+    `filter_outcome`.
 
     The product filter acts on the party-grouped order (K0 S0 K1 S1 ...).
     Its columns are moved to the state's canonical order instead of
-    regrouping the state. `residual` is the largest entrywise deviation of
-    the surviving state from p P_+ + (1-p) P_-, the mixture of the two Bell
-    projectors it should equal exactly.
+    regrouping the state.
     """
     spec = state.spec
     n = spec.parties
@@ -124,7 +123,39 @@ def apply_filter(state: PrivateState, filters: FilterSet) -> FilterOutcome:
     grouped = kron_all(list(filters.party_ops))
     full = np.empty_like(grouped)
     full[:, factor_permutation(dims, interleave)] = grouped
-    out = full @ state.rho.matrix @ full.conj().T
+    return _outcome(full @ state.rho.matrix @ full.conj().T, n)
+
+
+def filter_outcome(spec: PrivateStateSpec, filters: FilterSet) -> FilterOutcome:
+    """The outcome of `apply_filter`, computed from the spec alone.
+
+    The state is (1/d) sum_{a,b} |a..a><b..b| (x) U_a rho U_b^dagger, and
+    the product filter maps |a..a> (x) phi to K_a phi, where K_a is the
+    Kronecker product over the parties of the columns of their filters
+    that belong to key value a. So the filtered state is
+
+        (1/d) Z rho Z^dagger,   Z = sum_a K_a U_a   (2^N x s),
+
+    and no D x D matrix is needed.
+    """
+    z = np.zeros((2**spec.parties, spec.shield_total_dim), dtype=complex)
+    for a, u in enumerate(spec.unitaries):
+        blocks = [
+            op[:, a * s : (a + 1) * s]
+            for op, s in zip(filters.party_ops, spec.shield_dims)
+        ]
+        if all(block.any() for block in blocks):  # else K_a = 0: a is dropped
+            z += kron_all(blocks) @ u.matrix
+    return _outcome(z @ spec.shield.matrix @ z.conj().T / spec.d, spec.parties)
+
+
+def _outcome(out: np.ndarray, n: int) -> FilterOutcome:
+    """Statistics of the filtered, unnormalized state `out` on N key bits.
+
+    `residual` is the largest entrywise deviation of the surviving state
+    from p P_+ + (1-p) P_-, the mixture of the two Bell projectors it
+    should equal exactly.
+    """
     success = float(np.real(np.trace(out)))
     if success <= SUCCESS_FLOOR:
         raise FilterError(f"filter success probability {success:.3e} is ~ 0")

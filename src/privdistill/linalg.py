@@ -118,7 +118,11 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError("kron_all needs at least one factor")
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+        m = np.asarray(m, dtype=complex)
+        if out.ndim == m.ndim == 1:  # the product np.kron forms, without its overhead
+            out = (out[:, None] * m[None, :]).ravel()
+        else:
+            out = np.kron(out, m)
     return out
 
 

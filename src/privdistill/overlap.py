@@ -7,9 +7,10 @@ The quantity of interest is
     eta = max |<f_1 (x) ... (x) f_N| X |g_1 (x) ... (x) g_N>|
 
 over unit vectors f_k, g_k on the per-party shield factors. `eta_optimize`
-runs multi-start alternating ascent with all starts advancing as one batch;
-`brute_force_eta` is a deliberately plain one-start-at-a-time
-re-implementation used to cross-check it.
+runs multi-start alternating ascent with all starts advancing as one batch,
+and `optimize_pairs` runs the starts of every key pair of a spec as one
+batch in the same engine; `brute_force_eta` is a deliberately plain
+one-start-at-a-time re-implementation used to cross-check them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ascent import ascend
 from .linalg import CONV_TOL, kron_all
 from .private_states import PrivateStateSpec
 
@@ -61,34 +63,83 @@ class PairOverlap(OverlapResult):
 
 def cross_operator(spec: PrivateStateSpec, i: int, j: int) -> np.ndarray:
     """X = U_i rho U_j^dagger on the shield space, for key values i != j."""
+    return _cross_operators(spec, [(i, j)])[0]
+
+
+def _cross_operators(spec: PrivateStateSpec, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """The cross operator of every pair, stacked in pair order."""
     d = spec.d
-    if not (0 <= i < d and 0 <= j < d):
-        raise ValueError(f"key values must lie in [0, {d}), got ({i}, {j})")
-    if i == j:
-        raise ValueError("cross operator needs two distinct key values")
-    x = spec.unitaries[i].matrix @ spec.shield.matrix @ spec.unitaries[j].matrix.conj().T
-    if np.abs(x).max() <= CROSS_NORM_FLOOR:
-        raise ValueError(
-            "cross operator is numerically zero; the shield state is corrupted"
-        )
-    return x
+    for i, j in pairs:
+        if not (0 <= i < d and 0 <= j < d):
+            raise ValueError(f"key values must lie in [0, {d}), got ({i}, {j})")
+        if i == j:
+            raise ValueError("cross operator needs two distinct key values")
+    s = spec.shield_total_dim
+    xs = np.empty((len(pairs), s, s), dtype=complex)
+    left: dict[int, np.ndarray] = {}  # U_i rho, per key value
+    for x, (i, j) in zip(xs, pairs):
+        if i not in left:
+            left[i] = spec.unitaries[i].matrix @ spec.shield.matrix
+        np.matmul(left[i], spec.unitaries[j].matrix.conj().T, out=x)
+        if np.abs(x).max() <= CROSS_NORM_FLOOR:
+            raise ValueError(
+                "cross operator is numerically zero; the shield state is corrupted"
+            )
+    return xs
 
 
-def _random_product(dims: tuple[int, ...], rng: np.random.Generator) -> list[np.ndarray]:
-    out = []
-    for dim in dims:
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        out.append(v / np.linalg.norm(v))
-    return out
+def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
 
 
-def _basis_product(dims: tuple[int, ...], flat: int) -> list[np.ndarray]:
-    out = []
-    for idx, dim in zip(np.unravel_index(flat, dims), dims):
-        v = np.zeros(dim, dtype=complex)
-        v[idx] = 1.0
-        out.append(v)
-    return out
+def _random_starts(
+    dims: tuple[int, ...], seeds: list[np.random.SeedSequence]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Random product starts, one per seed, as lists of (starts, dim) arrays
+    (bras, kets).
+
+    Each start is one `normal` draw from its own generator, split per
+    factor, bras before kets, into the real and then the imaginary part.
+    The draws of a generator concatenate, so the vectors are bit for bit
+    those of one `normal` call per part; each is normalized by its own
+    `norm` call, as one vector at a time.
+    """
+    size = 4 * sum(dims)
+    z = np.array([np.random.default_rng(s).normal(size=size) for s in seeds])
+    z = z.reshape(len(seeds), size)
+    factors, at = [], 0
+    for dim in dims + dims:
+        v = z[:, at : at + dim] + 1j * z[:, at + dim : at + 2 * dim]
+        norms = np.array([np.linalg.norm(row) for row in v])
+        factors.append(v / norms.reshape(-1, 1))
+        at += 2 * dim
+    return factors[: len(dims)], factors[len(dims) :]
+
+
+def _starts(
+    x: np.ndarray, dims: tuple[int, ...], restarts: int,
+    seed: int | np.random.SeedSequence,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Start factors for `x`, as lists of (starts, dim) arrays (bras, kets).
+
+    First the basis products at the (up to DETERMINISTIC_STARTS) largest
+    nonzero entries of `x`, so the result can never fall below the best
+    single entry; then `restarts` random products, one per child of `seed`.
+    """
+    magnitudes = np.abs(x).ravel()
+    top = np.argsort(magnitudes)[::-1][:DETERMINISTIC_STARTS]
+    top = top[magnitudes[top] > 0.0]
+    random = _random_starts(dims, _seed_sequence(seed).spawn(restarts))
+    sides = []
+    for flat, drawn in zip(np.divmod(top, x.shape[0]), random):
+        basis = np.unravel_index(flat, dims)
+        sides.append([
+            np.concatenate([np.eye(dim, dtype=complex)[idx], factor])
+            for idx, dim, factor in zip(basis, dims, drawn)
+        ])
+    return sides[0], sides[1]
 
 
 def _contract_except(tensor: np.ndarray, vectors: list[np.ndarray], skip: int) -> np.ndarray:
@@ -100,83 +151,29 @@ def _contract_except(tensor: np.ndarray, vectors: list[np.ndarray], skip: int) -
     return t
 
 
-def _row_kron(factors: list[np.ndarray]) -> np.ndarray:
-    """Row-wise Kronecker product: row b is f_1[b] (x) ... (x) f_N[b]."""
-    out = factors[0]
-    for f in factors[1:]:
-        out = (out[:, :, None] * f[:, None, :]).reshape(out.shape[0], -1)
-    return out
-
-
-def _fit(t: np.ndarray, dims: tuple[int, ...], factors: list[np.ndarray]) -> list[np.ndarray]:
-    """Product factors that raise |<f_1 (x) ... (x) f_N | t_b>| for every row b.
-
-    With two factors the maximum is reached at once through the leading
-    singular pair, whatever the current factors; otherwise each factor in
-    turn becomes the normalized contraction of t with the conjugates of all
-    the others. The overlap with the returned factors is real and
-    nonnegative.
-    """
-    n = len(dims)
-    t = t.reshape((t.shape[0],) + dims)
-    if n == 2:
-        u, _, vh = np.linalg.svd(t, full_matrices=False)
-        return [u[:, :, 0], vh[:, 0, :]]
-    factors = list(factors)
-    for k in range(n):
-        operands: list = [t, list(range(n + 1))]
-        for m in range(n):
-            if m != k:
-                operands += [factors[m].conj(), [0, m + 1]]
-        c = np.einsum(*operands, [0, k + 1])
-        nrm = np.linalg.norm(c, axis=1, keepdims=True)
-        factors[k] = np.divide(c, nrm, out=factors[k].copy(), where=nrm > 0.0)
-    return factors
-
-
-def _ascend(
-    x: np.ndarray,
-    dims: tuple[int, ...],
-    bras: list[np.ndarray],
-    kets: list[np.ndarray],
-    max_iters: int,
-    conv_tol: float,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """Alternating ascent of every start at once.
-
-    Factors are (starts, dim) arrays. A sweep fits all bra factors, then all
-    ket factors. A start stops once a sweep changes its |overlap| by at most
-    `conv_tol` (converged) or after `max_iters` sweeps. Updates the factors
-    in place and returns them with the complex overlap, sweep count and
-    convergence flag of every start.
-    """
-    g_rows = _row_kron(kets)
-    value = np.einsum("bc,bc->b", _row_kron(bras).conj() @ x, g_rows)
-    sweeps = np.zeros(value.size, dtype=int)
-    converged = np.zeros(value.size, dtype=bool)
-    live = np.arange(value.size)
-    for sweep in range(1, max_iters + 1):
-        f = _fit(g_rows[live] @ x.T, dims, [b[live] for b in bras])
-        w = _row_kron(f) @ x.conj()  # row b is x^dagger f_b
-        g = _fit(w, dims, [k[live] for k in kets])
-        g_live = _row_kron(g)
-        g_rows[live] = g_live
-        new = np.einsum("bc,bc->b", w.conj(), g_live)
-        for k in range(len(dims)):
-            bras[k][live], kets[k][live] = f[k], g[k]
-        converged[live] = np.abs(np.abs(new) - np.abs(value[live])) <= conv_tol
-        value[live] = new
-        sweeps[live] = sweep
-        live = live[~converged[live]]
-        if not live.size:
-            break
-    return bras, kets, value, sweeps, converged
-
-
-def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
+def _result(
+    rows: slice, bras: list[np.ndarray], kets: list[np.ndarray],
+    value: np.ndarray, sweeps: np.ndarray, converged: np.ndarray,
+) -> OverlapResult:
+    """The OverlapResult of the starts in `rows`, led by the best of them."""
+    etas = np.abs(value[rows])
+    best = rows.start + int(np.argmax(etas))
+    eta = float(etas[best - rows.start])
+    if eta < ETA_FLOOR:
+        warnings.warn(
+            f"product overlap {eta:.3e} is below {ETA_FLOOR:.0e}; "
+            "its phase is numerically meaningless",
+            stacklevel=3,
+        )
+    return OverlapResult(
+        eta=eta,
+        theta=float(np.angle(value[best])),
+        bra_vectors=[b[best].copy() for b in bras],
+        ket_vectors=[g[best].copy() for g in kets],
+        converged=bool(converged[best]),
+        sweeps=int(sweeps[best]),
+        start_etas=etas.tolist(),
+    )
 
 
 def eta_optimize(
@@ -198,49 +195,50 @@ def eta_optimize(
     total = int(np.prod(dims, dtype=np.int64))
     if x.shape != (total, total):
         raise ValueError(f"operator shape {x.shape} does not match dims {dims}")
-
-    magnitudes = np.abs(x).ravel()
-    top = np.argsort(magnitudes)[::-1][:DETERMINISTIC_STARTS]
-    starts: list[tuple[list[np.ndarray], list[np.ndarray]]] = []
-    for flat in top:
-        if magnitudes[flat] <= 0.0:
-            continue
-        row, col = divmod(int(flat), total)
-        starts.append((_basis_product(dims, row), _basis_product(dims, col)))
-    for child in _seed_sequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        starts.append((_random_product(dims, rng), _random_product(dims, rng)))
-
-    bras = [np.array([s[0][k] for s in starts]) for k in range(len(dims))]
-    kets = [np.array([s[1][k] for s in starts]) for k in range(len(dims))]
-    bras, kets, value, sweeps, converged = _ascend(
-        x, dims, bras, kets, max_iters, conv_tol
-    )
-    etas = np.abs(value)
-    best = int(np.argmax(etas))
-    eta = float(etas[best])
-    if eta < ETA_FLOOR:
-        warnings.warn(
-            f"product overlap {eta:.3e} is below {ETA_FLOOR:.0e}; "
-            "its phase is numerically meaningless",
-            stacklevel=2,
-        )
-    return OverlapResult(
-        eta=eta,
-        theta=float(np.angle(value[best])),
-        bra_vectors=[b[best].copy() for b in bras],
-        ket_vectors=[g[best].copy() for g in kets],
-        converged=bool(converged[best]),
-        sweeps=int(sweeps[best]),
-        start_etas=etas.tolist(),
-    )
+    bras, kets = _starts(x, dims, restarts, seed)
+    who = np.zeros(len(bras[0]), dtype=int)
+    state = ascend(x[None], who, dims, bras, kets, max_iters, conv_tol)
+    return _result(slice(0, who.size), *state)
 
 
-def _branch_weight(spec: PrivateStateSpec, k: int, vectors: list[np.ndarray]) -> float:
-    """<v|U_k rho U_k^dagger|v> for the product vector v of `vectors`."""
-    u = spec.unitaries[k].matrix
+def _branch_weight(op: np.ndarray, vectors: list[np.ndarray]) -> float:
+    """<v|op|v> for the product vector v of `vectors`."""
     v = kron_all(vectors)
-    return float(np.real(v.conj() @ (u @ spec.shield.matrix @ u.conj().T) @ v))
+    return float(np.real(v.conj() @ op @ v))
+
+
+def _optimize(
+    spec: PrivateStateSpec,
+    pairs: list[tuple[int, int]],
+    seeds: list,
+    restarts: int,
+    max_iters: int,
+    conv_tol: float,
+) -> list[PairOverlap]:
+    """One ascent over the starts of every pair; pair k draws from seeds[k]."""
+    dims = tuple(spec.shield_dims)
+    xs = _cross_operators(spec, pairs)
+    starts = [_starts(x, dims, restarts, s) for x, s in zip(xs, seeds)]
+    counts = [len(bras[0]) for bras, _ in starts]
+    who = np.repeat(np.arange(len(pairs)), counts)
+    bras = [np.concatenate([b[k] for b, _ in starts]) for k in range(len(dims))]
+    kets = [np.concatenate([g[k] for _, g in starts]) for k in range(len(dims))]
+    state = ascend(xs, who, dims, bras, kets, max_iters, conv_tol)
+
+    branch = {  # U_k rho U_k^dagger, per key value
+        k: spec.unitaries[k].matrix @ spec.shield.matrix @ spec.unitaries[k].matrix.conj().T
+        for k in {k for pair in pairs for k in pair}
+    }
+    out, lo = [], 0
+    for (i, j), count in zip(pairs, counts):
+        result = _result(slice(lo, lo + count), *state)
+        lo += count
+        out.append(PairOverlap(
+            **vars(result),
+            a1=_branch_weight(branch[i], result.bra_vectors),
+            a2=_branch_weight(branch[j], result.ket_vectors),
+        ))
+    return out
 
 
 def optimize_pair(
@@ -253,20 +251,26 @@ def optimize_pair(
     seed: int | np.random.SeedSequence = 0,
 ) -> PairOverlap:
     """Cross operator, overlap maximization, and branch weights in one call."""
-    x = cross_operator(spec, i, j)
-    result = eta_optimize(
-        x,
-        spec.shield_dims,
-        restarts=restarts,
-        max_iters=max_iters,
-        conv_tol=conv_tol,
-        seed=seed,
-    )
-    return PairOverlap(
-        **vars(result),
-        a1=_branch_weight(spec, i, result.bra_vectors),
-        a2=_branch_weight(spec, j, result.ket_vectors),
-    )
+    return _optimize(spec, [(i, j)], [seed], restarts, max_iters, conv_tol)[0]
+
+
+def optimize_pairs(
+    spec: PrivateStateSpec,
+    pairs: list[tuple[int, int]],
+    restarts: int = 32,
+    max_iters: int = 200,
+    conv_tol: float = CONV_TOL,
+    seed: int | np.random.SeedSequence = 0,
+) -> list[PairOverlap]:
+    """`optimize_pair` for every key pair in `pairs`, in one batched ascent.
+
+    Pair k gets the result of `optimize_pair(spec, i, j, seed=child)`, bit
+    for bit, where child is the k-th child of SeedSequence(seed).
+    """
+    if not pairs:
+        return []
+    children = _seed_sequence(seed).spawn(len(pairs))
+    return _optimize(spec, pairs, children, restarts, max_iters, conv_tol)
 
 
 def brute_force_eta(
@@ -290,10 +294,10 @@ def brute_force_eta(
     if x.shape != (total, total):
         raise ValueError(f"operator shape {x.shape} does not match dims {dims}")
     best = 0.0
-    for child in _seed_sequence(seed).spawn(samples):
-        rng = np.random.default_rng(child)
-        bras = _random_product(dims, rng)
-        kets = _random_product(dims, rng)
+    all_bras, all_kets = _random_starts(dims, _seed_sequence(seed).spawn(samples))
+    for sample in range(samples):
+        bras = [f[sample] for f in all_bras]
+        kets = [f[sample] for f in all_kets]
         for _ in range(BRUTE_FORCE_SWEEPS):
             v = (x @ kron_all(kets)).reshape(dims)
             for k in range(len(dims)):

@@ -25,7 +25,7 @@ from .linalg import (
 from .states import DensityMatrix, UnitaryOp, random_density, random_unitary, validate_state
 
 EIGENVALUE_CUTOFF = 1e-12  # below this a shield eigenvalue counts as zero
-DEFAULT_DIM_CAP = 4096
+DEFAULT_DIM_CAP = 4096  # largest D for which a dense D x D state is built
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,19 @@ def repeated_key_index(value: int, d: int, parties: int) -> int:
     return value * ((d**parties - 1) // (d - 1))
 
 
+def check_dense_dim(dim: int) -> None:
+    """Refuse a dense state of dimension above DEFAULT_DIM_CAP."""
+    if dim > DEFAULT_DIM_CAP:
+        raise ValueError(f"dense state dimension {dim} exceeds cap {DEFAULT_DIM_CAP}")
+
+
 def build_private_state(spec: PrivateStateSpec) -> PrivateState:
-    """Assemble the density matrix of a private state from its spec."""
+    """Assemble the density matrix of a private state from its spec.
+
+    This is the one place that builds a D x D matrix, so D is capped at
+    DEFAULT_DIM_CAP here; `ed_lower_bound` and `distill` need no dense state.
+    """
+    check_dense_dim(spec.total_dim)
     d, n = spec.d, spec.parties
     key_dim = d**n
     s = spec.shield_total_dim
@@ -196,10 +207,6 @@ def tensor_power_spec(spec: PrivateStateSpec, m: int) -> tuple[PrivateStateSpec,
     if m < 1:
         raise ValueError(f"power m must be >= 1, got {m}")
     d, n = spec.d, spec.parties
-    if spec.total_dim**m > DEFAULT_DIM_CAP:
-        raise ValueError(
-            f"tensor power dimension {spec.total_dim**m} exceeds cap {DEFAULT_DIM_CAP}"
-        )
     if m == 1:
         return spec, np.arange(spec.total_dim)
 
@@ -236,13 +243,3 @@ def tensor_power_spec(spec: PrivateStateSpec, m: int) -> tuple[PrivateStateSpec,
     order += [c * 2 * n + n + k for k in range(n) for c in range(m)]
     perm = factor_permutation(dims_src, order)
     return power_spec, perm
-
-
-def key_string_probabilities(state: PrivateState) -> np.ndarray:
-    """Probability of each joint key outcome string under standard-basis
-    measurement of every key factor, indexed by the flat key index."""
-    spec = state.spec
-    key_dim = spec.d**spec.parties
-    s = spec.shield_total_dim
-    diag = np.real(np.diagonal(state.rho.matrix))
-    return diag.reshape(key_dim, s).sum(axis=1)

@@ -126,11 +126,6 @@ def state_to_json(state: DensityMatrix) -> dict[str, Any]:
     return matrix_to_json(state.matrix, state.layout)
 
 
-def state_from_json(obj: dict[str, Any]) -> DensityMatrix:
-    mat, lay = matrix_from_json(obj)
-    return validate_state(mat, lay)
-
-
 def spec_to_json(spec: PrivateStateSpec) -> dict[str, Any]:
     return {
         "d": spec.d,

@@ -10,7 +10,12 @@ from privdistill.bounds import (
     key_rate,
 )
 from privdistill.linalg import layout, partial_trace, von_neumann_entropy
-from privdistill.private_states import PrivateStateSpec, eigenvectors_of_pdit, random_spec
+from privdistill.private_states import (
+    PrivateStateSpec,
+    build_private_state,
+    eigenvectors_of_pdit,
+    random_spec,
+)
 from privdistill.states import UnitaryOp, validate_state
 
 # -p log2 p - (1-p) log2 (1-p) at p = 1/4, frozen to full precision
@@ -131,6 +136,17 @@ def test_ed_lower_bound_determinism():
     a = ed_lower_bound(spec, restarts=8, seed=5)
     b = ed_lower_bound(spec, restarts=8, seed=5)
     assert a == b
+
+
+def test_ed_lower_bound_state_keyword_is_checked_not_read():
+    """`state=` is kept for call compatibility: the state of this spec is
+    accepted and changes nothing, a state of another spec is refused."""
+    spec = random_spec(2, 2, (2, 2), seed=4)
+    plain = ed_lower_bound(spec, restarts=4, seed=1)
+    assert ed_lower_bound(spec, restarts=4, seed=1, state=build_private_state(spec)) == plain
+    twin = random_spec(2, 2, (2, 2), seed=4)  # the same data in another object
+    with pytest.raises(ValueError, match="another spec"):
+        ed_lower_bound(spec, restarts=4, seed=1, state=build_private_state(twin))
 
 
 def test_ef_certificate_swap_shield():

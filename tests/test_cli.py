@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
+from privdistill import cli
 from privdistill.cli import main
-from privdistill.filtering import apply_filter, build_filters
+from privdistill.filtering import build_filters, filter_outcome
 from privdistill.overlap import optimize_pair
 from privdistill.private_states import build_private_state, tensor_power_spec
 from privdistill.serialize import dumps, read_json, spec_from_json, state_to_json
@@ -50,7 +52,7 @@ def test_dense_state_files_are_the_indent_encoders_bytes(spec_path, tmp_path):
     spec = spec_from_json(read_json(spec_path))
     power_spec, _ = tensor_power_spec(spec, 2)
     result = optimize_pair(spec, 0, 1, restarts=6, seed=3)
-    post = apply_filter(build_private_state(spec), build_filters(spec, 0, 1, result)).state
+    post = filter_outcome(spec, build_filters(spec, 0, 1, result)).state
     runs = [
         (["build", "--spec", spec_path, "--out"], build_private_state(spec).rho),
         (["build", "--spec", spec_path, "--power", "2", "--out"],
@@ -62,6 +64,47 @@ def test_dense_state_files_are_the_indent_encoders_bytes(spec_path, tmp_path):
         out = tmp_path / f"state{k}.json"
         assert main(args + [str(out)]) == 0
         assert out.read_bytes() == dumps(state_to_json(state)).encode()
+
+
+def test_build_power_above_the_dense_cap_is_refused(tmp_path, capsys, monkeypatch):
+    """d=3, shields (2,2): D = 36, so the third power has D = 46656. It is
+    refused before the power's generating data are made, whose size grows
+    as (d s^2)^m."""
+    spec = tmp_path / "qutrit.json"
+    assert main(["gen", "--d", "3", "--shield-dims", "2,2", "--seed", "5",
+                 "--out", str(spec)]) == 0
+
+    def refuse(spec, m):
+        raise AssertionError("tensor power made before the cap was checked")
+
+    monkeypatch.setattr(cli, "tensor_power_spec", refuse)
+    out = tmp_path / "state.json"
+    rc = main(["build", "--spec", str(spec), "--power", "3", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: dense state dimension 46656 exceeds cap 4096\n"
+    assert not out.exists()
+
+
+def test_bound_and_distill_build_no_dense_state(spec_path, tmp_path, monkeypatch):
+    """`ed_lower_bound`, `bound` and `distill --post-out` never call
+    `build_private_state`, wherever the package holds it."""
+    def refuse(spec):
+        raise AssertionError("a dense state was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "privdistill" and hasattr(module, "build_private_state"):
+            monkeypatch.setattr(module, "build_private_state", refuse)
+    from privdistill.bounds import ed_lower_bound
+
+    assert ed_lower_bound(spec_from_json(read_json(spec_path)), restarts=2).pairs
+    assert main(["bound", "--spec", spec_path, "--restarts", "2",
+                 "--out", str(tmp_path / "bound.json")]) == 0
+    post = tmp_path / "post.json"
+    assert main(["distill", "--spec", spec_path, "--i", "0", "--j", "1", "--restarts", "2",
+                 "--out", str(tmp_path / "report.json"), "--post-out", str(post)]) == 0
+    assert read_json(str(post))["rows"] == 4  # the 2^N post-filter state only
+    with pytest.raises(AssertionError):
+        main(["build", "--spec", spec_path])
 
 
 def test_eta_command_report(spec_path, tmp_path):

@@ -7,6 +7,7 @@ from privdistill.filtering import (
     FilterError,
     apply_filter,
     build_filters,
+    filter_outcome,
     predict_outcome,
 )
 from privdistill.linalg import kron_all, layout, permute_factors, von_neumann_entropy
@@ -188,3 +189,33 @@ def test_simulated_outcome_identities_on_generated_specs(d, dims, seed, data):
     outcome = apply_filter(build_private_state(spec), build_filters(spec, i, j, res))
     assert abs(outcome.success - 2 / d * min(res.a1, res.a2)) <= 1e-9
     assert abs(outcome.p - (0.5 + res.eta / (2 * np.sqrt(res.a1 * res.a2)))) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    rank_fraction=st.floats(0.0, 1.0),
+    variant=st.sampled_from(["V", "W"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_filter_outcome_matches_dense_filter(d, dims, rank_fraction, variant, seed, data):
+    """The block formula (1/d) Z rho Z^dagger gives the outcome of the dense
+    filter: success, p, residual and the post-filter state agree to 1e-14."""
+    assume(d ** len(dims) * int(np.prod(dims)) <= 512)
+    i, j = data.draw(st.permutations(range(d)))[:2]
+    rank = max(1, round(rank_fraction * int(np.prod(dims))))
+    spec = random_spec(d, len(dims), tuple(dims), seed=seed, shield_rank=rank)
+    res = optimize_pair(spec, i, j, restarts=2, seed=seed)
+    try:
+        filters = build_filters(spec, i, j, res, variant=variant)
+        dense = apply_filter(build_private_state(spec), filters)
+    except FilterError:
+        assume(False)
+    fast = filter_outcome(spec, filters)
+    assert abs(fast.success - dense.success) <= 1e-14
+    assert abs(fast.p - dense.p) <= 1e-14
+    assert abs(fast.residual - dense.residual) <= 1e-14
+    assert np.abs(fast.state.matrix - dense.state.matrix).max() <= 1e-14
+    assert fast.state.layout == dense.state.layout

@@ -26,6 +26,12 @@ def test_kron_all_matches_repeated_kron():
     expected = np.kron(np.kron(mats[0], mats[1]), mats[2])
     assert np.array_equal(kron_all(mats), expected)
     assert np.array_equal(kron_all([mats[1]]), mats[1])
+    # vectors, with signed zeros and real factors: the same bits as np.kron
+    vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in (2, 3, 4)]
+    vecs[1][1] = -0.0
+    vecs.append(np.array([-1.0, 0.0, 2.5]))
+    expected = np.kron(np.kron(np.kron(vecs[0], vecs[1]), vecs[2]), vecs[3] + 0j)
+    assert np.array_equal(kron_all(vecs).view(np.int64), expected.view(np.int64))
 
 
 def test_kron_all_keeps_vectors_flat():

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privdistill.ascent import block_grid, block_product
 from privdistill.linalg import layout
 from privdistill.overlap import (
+    _random_starts,
     brute_force_eta,
     cross_operator,
     eta_optimize,
     optimize_pair,
+    optimize_pairs,
 )
 from privdistill.private_states import PrivateStateSpec, random_spec
 from privdistill.states import UnitaryOp, validate_state
@@ -230,3 +233,75 @@ def test_overlap_bounds_on_generated_specs(d, dims, rank_fraction, seed, data):
     res = optimize_pair(spec, i, j, seed=seed)
     assert np.abs(cross_operator(spec, i, j)).max() <= res.eta + 1e-12
     assert res.eta <= np.sqrt(res.a1 * res.a2) + 1e-12
+
+
+def per_factor_draws(dims, rng):
+    """Random product factors as earlier versions drew them: one `normal`
+    call for the real and one for the imaginary part of each factor."""
+    out = []
+    for dim in dims:
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        out.append(v / np.linalg.norm(v))
+    return out
+
+
+@pytest.mark.parametrize("dims", [(1,), (2, 2), (3, 2, 4), (8, 8), (2, 3, 2, 3)])
+def test_random_starts_are_the_per_factor_draws_bit_for_bit(dims):
+    bras, kets = _random_starts(dims, np.random.SeedSequence(7).spawn(20))
+    for start, child in enumerate(np.random.SeedSequence(7).spawn(20)):
+        rng = np.random.default_rng(child)
+        want = per_factor_draws(dims, rng) + per_factor_draws(dims, rng)
+        got = [f[start] for f in bras + kets]
+        for a, b in zip(want, got):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    dims=st.lists(st.integers(2, 3), min_size=2, max_size=3),
+    rank_fraction=st.floats(0.0, 1.0),
+    restarts=st.integers(0, 6),
+    max_iters=st.sampled_from([1, 4, 30, 200]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_optimize_pairs_matches_per_pair_runs(d, dims, rank_fraction, restarts, max_iters, seed):
+    """One ascent over all pairs gives each pair what `eta_optimize` gives
+    it alone, from the pair's child of the seed: the same overlap, the
+    same starts in the same order, and the same flags for the best one."""
+    rank = max(1, round(rank_fraction * int(np.prod(dims))))
+    spec = random_spec(d, len(dims), dims, seed=seed, shield_rank=rank)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    got = optimize_pairs(spec, pairs, restarts=restarts, max_iters=max_iters, seed=seed)
+    children = np.random.SeedSequence(seed).spawn(len(pairs))
+    for (i, j), res, child in zip(pairs, got, children):
+        want = eta_optimize(
+            cross_operator(spec, i, j), dims,
+            restarts=restarts, max_iters=max_iters, seed=child,
+        )
+        assert abs(res.eta - want.eta) <= 1e-13
+        assert len(res.start_etas) == len(want.start_etas)
+        assert np.abs(np.subtract(res.start_etas, want.start_etas)).max() <= 1e-13
+        assert (res.converged, res.sweeps) == (want.converged, want.sweeps)
+
+
+def test_optimize_pairs_of_no_pairs():
+    assert optimize_pairs(random_spec(2, 2, (2, 2), seed=0), []) == []
+
+
+def test_block_products_have_the_bits_of_one_operator_alone():
+    """Each row of the batched product equals, bit for bit, the product of
+    its operator with the rows of that operator alone, also when a row is
+    alone with its operator (a matrix-vector product), for empty blocks and
+    when every block is full."""
+    rng = np.random.default_rng(0)
+    ops = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+    for counts in ([1, 3, 0, 1, 2], [1, 1, 0, 1, 1], [2, 0, 4, 3, 2], [0, 0, 1, 0, 0],
+                   [3, 3, 3, 3, 3]):
+        counts = np.array(counts)
+        block = np.repeat(np.arange(5), counts)
+        rows = rng.normal(size=(block.size, 6)) + 1j * rng.normal(size=(block.size, 6))
+        out = block_product(rows, ops, block_grid(block, counts))
+        for k in range(5):
+            alone = rows[block == k] @ ops[k]
+            assert np.array_equal(out[block == k], alone)

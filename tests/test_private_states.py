@@ -11,7 +11,6 @@ from privdistill.private_states import (
     build_private_state,
     depolarized_spec,
     eigenvectors_of_pdit,
-    key_string_probabilities,
     random_spec,
     repeated_key_index,
     tensor_power_spec,
@@ -20,6 +19,14 @@ from privdistill.private_states import (
 from privdistill.states import UnitaryOp, validate_state
 
 SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
+
+
+def key_string_probabilities(state):
+    """Probability of each joint key outcome string under standard-basis
+    measurement of every key factor, indexed by the flat key index."""
+    spec = state.spec
+    diag = np.real(np.diagonal(state.rho.matrix))
+    return diag.reshape(spec.d**spec.parties, spec.shield_total_dim).sum(axis=1)
 
 
 def swap_shield_spec():
@@ -135,10 +142,26 @@ def test_tensor_power_identity_and_cap():
     same, perm = tensor_power_spec(spec, 1)
     assert same is spec
     assert np.array_equal(perm, np.arange(spec.total_dim))
-    with pytest.raises(ValueError):
-        tensor_power_spec(spec, 4)  # 16**4 = 65536 > 4096
+    # the cap is on the dense state, not on the power's generating data
+    power_spec, _ = tensor_power_spec(spec, 4)
+    with pytest.raises(ValueError, match="exceeds cap 4096"):
+        build_private_state(power_spec)  # 16**4 = 65536 > 4096
     with pytest.raises(ValueError):
         tensor_power_spec(spec, 0)
+
+
+def test_third_power_of_a_qutrit_spec_has_no_cap():
+    """d=3, shields (2,2): the third power has D = 46656, far above the
+    dense cap, yet its generating data are small and exact."""
+    spec = random_spec(3, 2, (2, 2), seed=5)
+    power_spec, perm = tensor_power_spec(spec, 3)
+    assert power_spec.d == 27
+    assert power_spec.shield_dims == (8, 8)
+    assert power_spec.total_dim == perm.size == 46656
+    u = power_spec.unitaries[26].matrix  # digits (2, 2, 2)
+    assert np.abs(u.conj().T @ u - np.eye(64)).max() < 1e-12
+    with pytest.raises(ValueError, match="dense state dimension 46656 exceeds cap 4096"):
+        build_private_state(power_spec)
 
 
 def test_tensor_power_unitaries_are_unitary():

@@ -21,12 +21,11 @@ from privdistill.serialize import (
     report_to_json,
     spec_from_json,
     spec_to_json,
-    state_from_json,
     state_to_json,
     write_json,
     write_matrix,
 )
-from privdistill.states import StateValidationError, UnitaryOp
+from privdistill.states import StateValidationError, UnitaryOp, validate_state
 
 
 def test_matrix_round_trip_is_exact():
@@ -35,6 +34,11 @@ def test_matrix_round_trip_is_exact():
     back, lay = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
     assert lay is None
     assert np.array_equal(back, m)  # repr round-trip keeps every bit
+
+
+def state_from_json(obj):
+    mat, lay = matrix_from_json(obj)
+    return validate_state(mat, lay)
 
 
 def test_state_round_trip_keeps_layout():
