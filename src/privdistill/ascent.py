@@ -2,9 +2,9 @@
 
 Every start of every operator advances at once: the factors of all starts
 are (starts, dim) arrays, and the starts of one operator are contiguous
-rows. The products with the operators go through one batched matmul over a
-grid with one block per operator (`block_grid`, `block_product`), so no
-operator is copied per row.
+rows. The products with the operators are batched matmuls, one per number
+of live starts that operators have (`block_grid`, `block_product`), so no
+operator is copied per row and no row is padded.
 """
 
 from __future__ import annotations
@@ -48,52 +48,43 @@ def fit(
     return factors
 
 
-def block_grid(block: np.ndarray, counts: np.ndarray) -> tuple:
-    """Where `block_product` puts each row: row r belongs to block block[r]
+def block_grid(block: np.ndarray, counts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """How `block_product` groups the rows: row r belongs to block block[r]
     (non-decreasing), and counts[k] rows belong to block k.
 
-    A row alone in its block goes to row block[r] of a (blocks, 1) grid;
-    the others go, in order, to a zero-padded (blocks, width) grid.
+    The blocks that hold the same number of rows form one group, given as
+    its rows (in order) and its blocks.
     """
-    lone = counts[block] == 1
-    rest = block[~lone]
-    width = int(counts.max())
-    first = np.cumsum(counts) - counts
-    pos = np.flatnonzero(~lone) - first[rest] + rest * width
-    return lone, block[lone], pos, width
+    per_row = counts[block]
+    sizes = np.flatnonzero(np.bincount(per_row))  # np.unique's first sort costs 1.7 MB RSS
+    return [(np.flatnonzero(per_row == c), np.flatnonzero(counts == c)) for c in sizes]
 
 
-def block_product(rows: np.ndarray, ops: np.ndarray, grid: tuple) -> np.ndarray:
+def block_product(
+    rows: np.ndarray, ops: np.ndarray, grid: list[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
     """Row r of the result is rows[r] @ ops[k], for the block k holding row r.
 
-    With one operator this is one matmul. Otherwise the rows are scattered
-    into zero-padded grids with one block per operator, so that one
-    batched matmul multiplies each block by its own operator, without a
-    copy of an operator per row. Rows alone in their block get a grid of
-    their own: NumPy multiplies a single row by a matrix-vector product,
-    and a row alone with its operator is multiplied that way here too, so
-    each row gets the same bits as when its operator's starts run alone.
+    With one operator this is one matmul. Otherwise each group of blocks
+    with c rows each is one batched matmul of its (blocks, c, dim) rows by
+    its blocks' operators. NumPy multiplies each block of such a batch by
+    the same BLAS call, with the same shapes, as the c rows of that block
+    alone by its operator, so each row gets the same bits as when its
+    operator's starts run alone, if the BLAS gives equal bits for equal
+    calls.
     """
     if len(ops) == 1:
         return rows @ ops[0]
-    lone, lone_block, pos, width = grid
-    if pos.size == len(ops) * width:  # every block full: rows are the grid
-        return (rows.reshape(len(ops), width, -1) @ ops).reshape(rows.shape)
     out = np.empty_like(rows)
-    if lone_block.size:
-        single = np.zeros((len(ops), 1, rows.shape[1]), dtype=complex)
-        single[lone_block, 0] = rows[lone]
-        out[lone] = (single @ ops)[lone_block, 0]
-    if pos.size:
-        padded = np.zeros((len(ops) * width, rows.shape[1]), dtype=complex)
-        padded[pos] = rows[~lone]
-        out[~lone] = (padded.reshape(len(ops), width, -1) @ ops).reshape(padded.shape)[pos]
+    for sel, blocks in grid:
+        part = rows[sel].reshape(blocks.size, -1, rows.shape[1]) @ ops[blocks]
+        out[sel] = part.reshape(sel.size, -1)
     return out
 
 
 def sweep_live(
     xs: np.ndarray,
-    grid: tuple,
+    grid: list[tuple[np.ndarray, np.ndarray]],
     dims: tuple[int, ...],
     bras: list[np.ndarray],
     kets: list[np.ndarray],
@@ -133,15 +124,12 @@ def ascend(
     start stops once a sweep changes its |overlap| by at most `conv_tol`
     (converged) or after `max_iters` sweeps; the fits only see live starts.
 
-    The products with the operators use one block of the grid per operator
-    in `act`. Once half of those blocks are empty, `act` and `xs` are cut
-    down to the operators that still have live starts; all these copies
-    together hold no more operators than `xs` itself.
+    The products with the operators group the operators by their number of
+    live starts (`block_grid`), so a finished operator costs nothing.
 
     Updates the factors in place and returns them with the complex overlap,
     sweep count and convergence flag of every start.
     """
-    act = np.arange(len(xs))
     grid = block_grid(who, np.bincount(who, minlength=len(xs)))
     live = np.arange(who.size)
     g_rows = row_kron(kets)
@@ -159,12 +147,6 @@ def ascend(
         live = live[~done]
         if not live.size:
             break
-        if len(act) > 1:
-            block = np.searchsorted(act, who[live])
-            counts = np.bincount(block, minlength=len(act))
-            if 2 * np.count_nonzero(counts) <= len(act):
-                keep = counts > 0
-                act, xs, counts = act[keep], xs[keep], counts[keep]
-                block = np.searchsorted(act, who[live])
-            grid = block_grid(block, counts)
+        if len(xs) > 1:
+            grid = block_grid(who[live], np.bincount(who[live], minlength=len(xs)))
     return bras, kets, value, sweeps, converged

@@ -264,8 +264,9 @@ def optimize_pairs(
 ) -> list[PairOverlap]:
     """`optimize_pair` for every key pair in `pairs`, in one batched ascent.
 
-    Pair k gets the result of `optimize_pair(spec, i, j, seed=child)`, bit
-    for bit, where child is the k-th child of SeedSequence(seed).
+    Pair k gets the result of `optimize_pair(spec, i, j, seed=child)`,
+    where child is the k-th child of SeedSequence(seed): bit for bit if the
+    BLAS gives equal bits for equal calls (see `ascent.block_product`).
     """
     if not pairs:
         return []

@@ -1,6 +1,9 @@
 """Product-overlap maximization: oracles, invariants, and the dual route."""
 
+import ctypes
 import dataclasses
+import glob
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +25,47 @@ from privdistill.states import UnitaryOp, validate_state
 
 SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _openblas_setup() -> tuple[str, str, int] | None:
+    """NumPy's OpenBLAS at run time: (version, kernel core, threads), or
+    None when NumPy uses another BLAS or the library cannot be queried."""
+    wheel_libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
+    for path in glob.glob(os.path.join(wheel_libs, "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        names = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
+        for prefix, suffix in names:
+            try:
+                config = getattr(lib, f"{prefix}get_config{suffix}")
+                core = getattr(lib, f"{prefix}get_corename{suffix}")
+                threads = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            except AttributeError:
+                continue
+            config.restype = core.restype = ctypes.c_char_p
+            threads.restype = ctypes.c_int
+            return config().decode().split()[1], core().decode(), threads()
+    return None
+
+
+# Each block of a batched product is the same BLAS call, with the same
+# shapes, as the product of that block's rows alone, so the bits agree if
+# the BLAS gives equal bits for equal calls. That was checked with NumPy 2.4
+# and its OpenBLAS 0.3.31, forcing each of these x86-64 kernels
+# (OPENBLAS_CORETYPE) with 1 and 2 threads. Elsewhere (MKL, say, may round
+# differently at other memory alignments) the bit-for-bit checks are
+# skipped and only the agreement to 1e-13 is tested.
+CHECKED_KERNELS = {"SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katmai"}
+_setup = _openblas_setup()
+BITWISE_BLAS = (
+    np.__version__.startswith("2.4.")
+    and _setup is not None
+    and _setup[0].startswith("0.3.31")
+    and _setup[1] in CHECKED_KERNELS
+    and _setup[2] <= 2
+)
 
 BELL_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
@@ -267,8 +311,10 @@ def test_random_starts_are_the_per_factor_draws_bit_for_bit(dims):
 )
 def test_optimize_pairs_matches_per_pair_runs(d, dims, rank_fraction, restarts, max_iters, seed):
     """One ascent over all pairs gives each pair what `eta_optimize` gives
-    it alone, from the pair's child of the seed: the same overlap, the
-    same starts in the same order, and the same flags for the best one."""
+    it alone, from the pair's child of the seed: the same overlap and the
+    same starts in the same order, to 1e-13. On a BLAS where that was
+    checked (`BITWISE_BLAS`), they are equal bit for bit, with the same
+    flags for the best start."""
     rank = max(1, round(rank_fraction * int(np.prod(dims))))
     spec = random_spec(d, len(dims), dims, seed=seed, shield_rank=rank)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
@@ -282,26 +328,32 @@ def test_optimize_pairs_matches_per_pair_runs(d, dims, rank_fraction, restarts, 
         assert abs(res.eta - want.eta) <= 1e-13
         assert len(res.start_etas) == len(want.start_etas)
         assert np.abs(np.subtract(res.start_etas, want.start_etas)).max() <= 1e-13
-        assert (res.converged, res.sweeps) == (want.converged, want.sweeps)
+        if BITWISE_BLAS:
+            assert (res.eta, res.start_etas) == (want.eta, want.start_etas)
+            assert (res.converged, res.sweeps) == (want.converged, want.sweeps)
 
 
 def test_optimize_pairs_of_no_pairs():
     assert optimize_pairs(random_spec(2, 2, (2, 2), seed=0), []) == []
 
 
-def test_block_products_have_the_bits_of_one_operator_alone():
-    """Each row of the batched product equals, bit for bit, the product of
-    its operator with the rows of that operator alone, also when a row is
-    alone with its operator (a matrix-vector product), for empty blocks and
-    when every block is full."""
-    rng = np.random.default_rng(0)
-    ops = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+@pytest.mark.parametrize("s", [6, 16, 64])
+def test_block_products_are_each_operators_product(s):
+    """Each row of the batched product is the product of its operator with
+    the rows of that operator alone: to 1e-13 everywhere, and bit for bit
+    on a BLAS where that was checked (`BITWISE_BLAS`). Also when a row is
+    alone with its operator (a matrix-vector product), for empty blocks,
+    for groups of consecutive blocks and of scattered ones."""
+    rng = np.random.default_rng(s)
+    ops = rng.normal(size=(5, s, s)) + 1j * rng.normal(size=(5, s, s))
     for counts in ([1, 3, 0, 1, 2], [1, 1, 0, 1, 1], [2, 0, 4, 3, 2], [0, 0, 1, 0, 0],
                    [3, 3, 3, 3, 3]):
         counts = np.array(counts)
         block = np.repeat(np.arange(5), counts)
-        rows = rng.normal(size=(block.size, 6)) + 1j * rng.normal(size=(block.size, 6))
+        rows = rng.normal(size=(block.size, s)) + 1j * rng.normal(size=(block.size, s))
         out = block_product(rows, ops, block_grid(block, counts))
         for k in range(5):
             alone = rows[block == k] @ ops[k]
-            assert np.array_equal(out[block == k], alone)
+            assert np.abs(out[block == k] - alone).max(initial=0.0) <= 1e-13 * s
+            if BITWISE_BLAS:
+                assert np.array_equal(out[block == k], alone)
