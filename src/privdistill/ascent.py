@@ -25,17 +25,13 @@ def fit(
 ) -> list[np.ndarray]:
     """Product factors that raise |<f_1 (x) ... (x) f_N | t_b>| for every row b.
 
-    With two factors the maximum is reached at once through the leading
-    singular pair, whatever the current factors; otherwise each factor in
-    turn becomes the normalized contraction of t with the conjugates of all
-    the others, starting from rows `live` of `factors`. The overlap with the
-    returned factors is real and nonnegative.
+    Starting from rows `live` of `factors`, each factor in turn becomes the
+    normalized contraction of t with the conjugates of all the others, for
+    any number of factors. The overlap with the returned factors is real and
+    nonnegative.
     """
     n = len(dims)
     t = t.reshape((t.shape[0],) + dims)
-    if n == 2:
-        u, _, vh = np.linalg.svd(t, full_matrices=False)
-        return [u[:, :, 0].copy(), vh[:, 0, :].copy()]  # not views that hold u, vh
     factors = [f[live] for f in factors]
     for k in range(n):
         operands: list = [t, list(range(n + 1))]
@@ -134,7 +130,7 @@ def ascend(
     live = np.arange(who.size)
     g_rows = row_kron(kets)
     value = np.einsum("bc,bc->b", block_product(row_kron(bras).conj(), xs, grid), g_rows)
-    sweeps = np.full(value.size, max(max_iters, 0))  # until a start converges
+    sweeps = np.full(value.size, max_iters)  # until a start converges
     converged = np.zeros(value.size, dtype=bool)
     for sweep in range(1, max_iters + 1):
         new = sweep_live(xs, grid, dims, bras, kets, g_rows, live)

@@ -99,7 +99,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    if args.power > 1:
+    if args.power != 1:
         # refuse before the power's generating data is made, not after
         check_dense_dim(spec.total_dim**args.power)
         spec, _ = tensor_power_spec(spec, args.power)
@@ -288,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
+    try:  # the parser reads PRIVDISTILL_* defaults, which may be malformed
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,6 +76,8 @@ def build_filters(
     The variant is chosen from the branch weights (V when a2 >= a1) unless
     forced explicitly.
     """
+    if i == j:
+        raise ValueError("a filter needs two distinct key values")
     if len(result.bra_vectors) != spec.parties:
         raise ValueError(
             f"overlap result has {len(result.bra_vectors)} product factors, "
@@ -132,20 +134,20 @@ def filter_outcome(spec: PrivateStateSpec, filters: FilterSet) -> FilterOutcome:
     The state is (1/d) sum_{a,b} |a..a><b..b| (x) U_a rho U_b^dagger, and
     the product filter maps |a..a> (x) phi to K_a phi, where K_a is the
     Kronecker product over the parties of the columns of their filters
-    that belong to key value a. So the filtered state is
+    that belong to key value a. K_a is zero unless a is one of the two key
+    values i, j the filter keeps, so the filtered state is
 
-        (1/d) Z rho Z^dagger,   Z = sum_a K_a U_a   (2^N x s),
+        (1/d) Z rho Z^dagger,   Z = K_i U_i + K_j U_j   (2^N x s),
 
     and no D x D matrix is needed.
     """
     z = np.zeros((2**spec.parties, spec.shield_total_dim), dtype=complex)
-    for a, u in enumerate(spec.unitaries):
+    for a in (filters.i, filters.j):
         blocks = [
             op[:, a * s : (a + 1) * s]
             for op, s in zip(filters.party_ops, spec.shield_dims)
         ]
-        if all(block.any() for block in blocks):  # else K_a = 0: a is dropped
-            z += kron_all(blocks) @ u.matrix
+        z += kron_all(blocks) @ spec.unitaries[a].matrix
     return _outcome(z @ spec.shield.matrix @ z.conj().T / spec.d, spec.parties)
 
 

@@ -142,6 +142,16 @@ def _starts(
     return sides[0], sides[1]
 
 
+def _check_settings(restarts: int, max_iters: int, conv_tol: float) -> None:
+    """Refuse optimizer settings that describe no run."""
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if not conv_tol >= 0.0:  # also refuses NaN
+        raise ValueError(f"conv_tol must be a number >= 0, got {conv_tol}")
+
+
 def _contract_except(tensor: np.ndarray, vectors: list[np.ndarray], skip: int) -> np.ndarray:
     """Contract every axis but `skip` against the matching vector."""
     t = tensor
@@ -191,6 +201,7 @@ def eta_optimize(
     random product starts, all starts advancing together as one batch. The
     result describes the start with the largest overlap (see OverlapResult).
     """
+    _check_settings(restarts, max_iters, conv_tol)
     dims = tuple(int(v) for v in dims)
     total = int(np.prod(dims, dtype=np.int64))
     if x.shape != (total, total):
@@ -251,6 +262,7 @@ def optimize_pair(
     seed: int | np.random.SeedSequence = 0,
 ) -> PairOverlap:
     """Cross operator, overlap maximization, and branch weights in one call."""
+    _check_settings(restarts, max_iters, conv_tol)
     return _optimize(spec, [(i, j)], [seed], restarts, max_iters, conv_tol)[0]
 
 
@@ -268,6 +280,7 @@ def optimize_pairs(
     where child is the k-th child of SeedSequence(seed): bit for bit if the
     BLAS gives equal bits for equal calls (see `ascent.block_product`).
     """
+    _check_settings(restarts, max_iters, conv_tol)
     if not pairs:
         return []
     children = _seed_sequence(seed).spawn(len(pairs))
@@ -282,8 +295,8 @@ def brute_force_eta(
 ) -> float:
     """Plain multi-start estimate of the product overlap, for cross-checking.
 
-    Every factor is updated one at a time (no Schmidt shortcut for two
-    parties) and every start runs a fixed number of sweeps with no
+    Each start runs alone, its factors are updated one at a time by plain
+    `tensordot` contractions, and it runs a fixed number of sweeps with no
     convergence test. Only small operators are accepted.
     """
     dims = tuple(int(v) for v in dims)

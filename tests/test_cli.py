@@ -213,6 +213,12 @@ def test_env_overrides_defaults(spec_path, tmp_path, monkeypatch):
     assert read_json(str(out))["config"]["seed"] == 3
 
 
+def test_malformed_env_default_gives_one_line_error(spec_path, monkeypatch, capsys):
+    monkeypatch.setenv("PRIVDISTILL_RESTARTS", "abc")
+    assert main(["eta", "--spec", spec_path, "--i", "0", "--j", "1"]) == 1
+    assert capsys.readouterr().err == "error: bad value for PRIVDISTILL_RESTARTS: 'abc'\n"
+
+
 def test_reports_are_byte_identical_across_runs(spec_path, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["bound", "--spec", spec_path, "--restarts", "6", "--seed", "9"]
@@ -300,6 +306,25 @@ def test_malformed_spec_gives_one_line_error(spec_path, tmp_path, capsys, comman
     bad.write_text(json.dumps(obj))
     out = tmp_path / "out.json"
     rc = main([command, "--spec", str(bad), "--out", str(out)] + SPEC_COMMANDS[command])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["eta", "--i", "0", "--j", "1", "--restarts", "-2"],
+    ["eta", "--i", "0", "--j", "1", "--max-iters", "-5"],
+    ["eta", "--i", "0", "--j", "1", "--conv-tol", "-0.5"],
+    ["eta", "--i", "0", "--j", "1", "--conv-tol", "nan"],
+    ["bound", "--restarts", "-1"],
+    ["build", "--power", "0"],
+    ["build", "--power", "-2"],
+])
+def test_bad_optimizer_or_power_flag_gives_one_line_error(spec_path, tmp_path, capsys, args):
+    out = tmp_path / "out.json"
+    rc = main(args[:1] + ["--spec", spec_path, "--out", str(out)] + args[1:])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ")

@@ -164,6 +164,13 @@ def test_build_filters_party_count_mismatch():
         build_filters(spec2, 0, 1, res)
 
 
+def test_build_filters_needs_two_key_values():
+    spec = random_spec(3, 2, (2, 2), seed=0)
+    res = optimize_pair(spec, 0, 1, seed=0)
+    with pytest.raises(ValueError):
+        build_filters(spec, 1, 1, res)
+
+
 def test_bad_variant_rejected():
     spec = random_spec(2, 2, (2, 2), seed=0)
     res = optimize_pair(spec, 0, 1, seed=0)

@@ -20,7 +20,7 @@ from privdistill.overlap import (
     optimize_pair,
     optimize_pairs,
 )
-from privdistill.private_states import PrivateStateSpec, random_spec
+from privdistill.private_states import PrivateStateSpec, depolarized_spec, random_spec
 from privdistill.states import UnitaryOp, validate_state
 
 SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
@@ -331,6 +331,48 @@ def test_optimize_pairs_matches_per_pair_runs(d, dims, rank_fraction, restarts, 
         if BITWISE_BLAS:
             assert (res.eta, res.start_etas) == (want.eta, want.start_etas)
             assert (res.converged, res.sweeps) == (want.converged, want.sweeps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    dims=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+    rank_fraction=st.floats(0.0, 1.0),
+    noise=st.floats(0.0, 1.0),
+    restarts=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_party_optimum_is_schmidt_stationary(d, dims, rank_fraction, noise, restarts, seed):
+    """Refitting one side of a converged two-party result cannot raise its
+    overlap: with the kets g fixed, the best bra product reaches the top
+    singular value of X g as a (d0, d1) matrix, and with the bras f fixed,
+    that of X^dagger f. Both are at most eta + 1e-9."""
+    rank = max(1, round(rank_fraction * dims[0] * dims[1]))
+    spec = depolarized_spec(random_spec(d, 2, dims, seed=seed, shield_rank=rank), noise)
+    for i in range(d):
+        for j in range(i + 1, d):
+            x = cross_operator(spec, i, j)
+            res = eta_optimize(x, dims, restarts=restarts, seed=seed)
+            if not res.converged:
+                continue
+            f = np.kron(*res.bra_vectors)
+            g = np.kron(*res.ket_vectors)
+            for v in (x @ g, x.conj().T @ f):
+                top = np.linalg.svd(v.reshape(dims), compute_uv=False)[0]
+                assert res.eta >= top - 1e-9
+
+
+@pytest.mark.parametrize("bad", [
+    {"restarts": -1}, {"max_iters": -1}, {"conv_tol": -1e-12}, {"conv_tol": float("nan")},
+])
+def test_optimizers_refuse_bad_settings(bad):
+    spec = random_spec(2, 2, (2, 2), seed=0)
+    with pytest.raises(ValueError):
+        eta_optimize(cross_operator(spec, 0, 1), (2, 2), **bad)
+    with pytest.raises(ValueError):
+        optimize_pair(spec, 0, 1, **bad)
+    with pytest.raises(ValueError):
+        optimize_pairs(spec, [], **bad)
 
 
 def test_optimize_pairs_of_no_pairs():
