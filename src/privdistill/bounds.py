@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import build_filters, filter_outcome, predict_outcome
+from .filtering import build_filters, filter_outcomes, predict_outcome
 from .linalg import CONV_TOL, von_neumann_entropy
 from .overlap import optimize_pairs
 from .private_states import PrivateState, PrivateStateSpec, eigenvectors_of_pdit
@@ -108,19 +108,11 @@ def ed_lower_bound(
 ) -> BoundReport:
     """Filtering-protocol lower bound on distillable entanglement.
 
-    The product overlaps of all key pairs i < j are maximized in one batched
-    ascent (`optimize_pairs`). Each pair's filters are then simulated on the
-    private state through its generating data (`filter_outcome`, no dense
-    state), and two rates are recorded:
-
-    * paper_rate     max(a1, a2) * (1 - H(p)) with the closed-form p, an
-                     uncertified closed form that exceeds verified_rate by
-                     the factor d * max(a1, a2) / (2 * min(a1, a2));
-    * verified_rate  simulated success probability * (1 - H(simulated p)),
-                     the rate the protocol achieves.
-
-    Pairs whose overlap ascent never converged are kept in the report but
-    excluded from the best-pair selection.
+    One stacked pass over all key pairs i < j: one ascent runs the starts
+    of every pair (`optimize_pairs`), and one stack simulates every pair's
+    filters from the spec (`filter_outcomes`, no dense state). Each pair
+    records its verified and paper rates (see PairBound). Pairs whose
+    ascent never converged are kept but excluded from the best-pair choice.
 
     `state` is kept for call compatibility and is not read; if given, it
     must be the state of this very spec object.
@@ -133,15 +125,14 @@ def ed_lower_bound(
         restarts=restarts, max_iters=max_iters, conv_tol=conv_tol, seed=seed,
     )
 
+    filter_sets = [build_filters(spec, i, j, r) for (i, j), r in zip(pair_list, results)]
     bounds: list[PairBound] = []
-    for (i, j), result in zip(pair_list, results):
-        filters = build_filters(spec, i, j, result)
-        outcome = filter_outcome(spec, filters)
+    for result, filters, outcome in zip(results, filter_sets, filter_outcomes(spec, filter_sets)):
         pred = predict_outcome(result, d=spec.d)
         bounds.append(
             PairBound(
-                i=i,
-                j=j,
+                i=filters.i,
+                j=filters.j,
                 eta=result.eta,
                 a1=result.a1,
                 a2=result.a2,

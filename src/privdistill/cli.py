@@ -216,8 +216,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # exit 1 with one line in `main`, not 2 with usage
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="privdistill",
         description="Private states, local-filtering distillation, and "
         "entanglement bound certificates.",

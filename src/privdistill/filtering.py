@@ -24,7 +24,7 @@ import numpy as np
 from .linalg import factor_permutation, kron_all, layout
 from .overlap import PairOverlap
 from .private_states import PrivateState, PrivateStateSpec
-from .states import DensityMatrix, bell_vector, validate_state
+from .states import DensityMatrix, bell_vector, check_states
 
 SUCCESS_FLOOR = 1e-14
 
@@ -55,17 +55,6 @@ class FilterOutcome:
 class PredictedOutcome:
     success: float
     p: float
-
-
-def _two_row_filter(
-    d: int, i: int, j: int, bra: np.ndarray, ket: np.ndarray,
-    bra_weight: complex, ket_weight: complex,
-) -> np.ndarray:
-    s = bra.shape[0]
-    op = np.zeros((2, d * s), dtype=complex)
-    op[0, i * s : (i + 1) * s] = bra_weight * bra.conj()
-    op[1, j * s : (j + 1) * s] = ket_weight * ket.conj()
-    return op
 
 
 def build_filters(
@@ -100,19 +89,18 @@ def build_filters(
         ket_weight = 1.0
 
     ops = []
-    for k in range(spec.parties):
-        bw, kw = (bra_weight, ket_weight) if k == 0 else (1.0, 1.0)
-        ops.append(
-            _two_row_filter(
-                spec.d, i, j, result.bra_vectors[k], result.ket_vectors[k], bw, kw
-            )
-        )
+    for k, (bra, ket) in enumerate(zip(result.bra_vectors, result.ket_vectors)):
+        s = bra.shape[0]
+        op = np.zeros((2, spec.d * s), dtype=complex)
+        op[0, i * s : (i + 1) * s] = (bra_weight if k == 0 else 1.0) * bra.conj()
+        op[1, j * s : (j + 1) * s] = (ket_weight if k == 0 else 1.0) * ket.conj()
+        ops.append(op)
     return FilterSet(party_ops=tuple(ops), variant=variant, i=i, j=j)
 
 
 def apply_filter(state: PrivateState, filters: FilterSet) -> FilterOutcome:
     """Apply one filter per party to the dense state; the reference for
-    `filter_outcome`.
+    `filter_outcomes`.
 
     The product filter acts on the party-grouped order (K0 S0 K1 S1 ...).
     Its columns are moved to the state's canonical order instead of
@@ -125,54 +113,72 @@ def apply_filter(state: PrivateState, filters: FilterSet) -> FilterOutcome:
     grouped = kron_all(list(filters.party_ops))
     full = np.empty_like(grouped)
     full[:, factor_permutation(dims, interleave)] = grouped
-    return _outcome(full @ state.rho.matrix @ full.conj().T, n)
+    return _outcomes((full @ state.rho.matrix @ full.conj().T)[None], n)[0]
 
 
 def filter_outcome(spec: PrivateStateSpec, filters: FilterSet) -> FilterOutcome:
-    """The outcome of `apply_filter`, computed from the spec alone.
+    """`apply_filter`'s outcome from the spec alone: one-element `filter_outcomes`."""
+    return filter_outcomes(spec, [filters])[0]
+
+
+def filter_outcomes(
+    spec: PrivateStateSpec, filter_sets: list[FilterSet]
+) -> list[FilterOutcome]:
+    """The outcome of `apply_filter` for every filter bank, as one stack.
 
     The state is (1/d) sum_{a,b} |a..a><b..b| (x) U_a rho U_b^dagger, and
-    the product filter maps |a..a> (x) phi to K_a phi, where K_a is the
+    a product filter maps |a..a> (x) phi to K_a phi, where K_a is the
     Kronecker product over the parties of the columns of their filters
     that belong to key value a. K_a is zero unless a is one of the two key
     values i, j the filter keeps, so the filtered state is
 
         (1/d) Z rho Z^dagger,   Z = K_i U_i + K_j U_j   (2^N x s),
 
-    and no D x D matrix is needed.
+    with no D x D matrix, and K_a U_a is one batched matmul per key value.
     """
-    z = np.zeros((2**spec.parties, spec.shield_total_dim), dtype=complex)
-    for a in (filters.i, filters.j):
-        blocks = [
-            op[:, a * s : (a + 1) * s]
-            for op, s in zip(filters.party_ops, spec.shield_dims)
-        ]
-        z += kron_all(blocks) @ spec.unitaries[a].matrix
-    return _outcome(z @ spec.shield.matrix @ z.conj().T / spec.d, spec.parties)
+    count, n = len(filter_sets), spec.parties
+    ops = [  # (count, 2, d, s_k) per party
+        np.array([f.party_ops[k] for f in filter_sets]).reshape(count, 2, spec.d, -1)
+        for k in range(n)
+    ]
+    z = np.zeros((count, 2**n, spec.shield_total_dim), dtype=complex)
+    for keys in (np.array([f.i for f in filter_sets]), np.array([f.j for f in filter_sets])):
+        blocks = [op[np.arange(count), :, keys] for op in ops]  # each bank's key columns
+        k_a = blocks[0]
+        for b in blocks[1:]:  # row-wise Kronecker product, as `kron_all`
+            k_a = k_a[:, :, None, :, None] * b[:, None, :, None, :]
+            k_a = k_a.reshape(count, k_a.shape[1] * 2, -1)
+        for a in np.flatnonzero(np.bincount(keys)):
+            rows = keys == a
+            z[rows] += k_a[rows] @ spec.unitaries[a].matrix
+    out = z @ spec.shield.matrix @ z.conj().transpose(0, 2, 1) / spec.d
+    return _outcomes(out, n)
 
 
-def _outcome(out: np.ndarray, n: int) -> FilterOutcome:
-    """Statistics of the filtered, unnormalized state `out` on N key bits.
+def _outcomes(out: np.ndarray, n: int) -> list[FilterOutcome]:
+    """Statistics of each filtered, unnormalized state of the stack `out`
+    on N key bits. `residual` is the largest entrywise deviation of a
+    surviving state from p P_+ + (1-p) P_-, the mixture of the two Bell
+    projectors it should equal exactly."""
+    success = np.trace(out, axis1=1, axis2=2).real
+    if success.min() <= SUCCESS_FLOOR:
+        raise FilterError(f"filter success probability {success.min():.3e} is ~ 0")
 
-    `residual` is the largest entrywise deviation of the surviving state
-    from p P_+ + (1-p) P_-, the mixture of the two Bell projectors it
-    should equal exactly.
-    """
-    success = float(np.real(np.trace(out)))
-    if success <= SUCCESS_FLOOR:
-        raise FilterError(f"filter success probability {success:.3e} is ~ 0")
-
-    post = out / success
-    post = (post + post.conj().T) / 2
-    out_layout = layout([(f"K{k}", 2, k, "key") for k in range(n)])
-    dm = validate_state(post, out_layout)
+    post = out / success[:, None, None]
+    post = (post + post.conj().transpose(0, 2, 1)) / 2
+    check_states(post)
 
     plus = bell_vector(+1, 0, 1, 2, n)
     minus = bell_vector(-1, 0, 1, 2, n)
-    p = float(np.real(plus.conj() @ post @ plus))
-    target = p * np.outer(plus, plus.conj()) + (1 - p) * np.outer(minus, minus.conj())
-    residual = float(np.abs(post - target).max())
-    return FilterOutcome(state=dm, success=success, p=p, residual=residual)
+    p = ((plus.conj() @ post)[:, None, :] @ plus[:, None]).real.ravel()
+    bell_plus, bell_minus = np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
+    target = p[:, None, None] * bell_plus + (1 - p)[:, None, None] * bell_minus
+    residual = np.abs(post - target).max(axis=(1, 2))
+    out_layout = layout([(f"K{k}", 2, k, "key") for k in range(n)])
+    return [
+        FilterOutcome(DensityMatrix(m, out_layout), float(w), float(q), float(r))
+        for m, w, q, r in zip(post, success, p, residual)
+    ]
 
 
 def predict_outcome(result: PairOverlap, d: int = 2) -> PredictedOutcome:

@@ -98,13 +98,14 @@ def as_complex(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermiticity_defect(mat: np.ndarray) -> float:
-    """Largest |M - M^dagger| entry, scaled by the largest |entry| of M."""
+def hermiticity_defect(mat: np.ndarray) -> float | np.ndarray:
+    """Largest |M - M^dagger| entry, scaled by the largest |entry| of M;
+    for a stack of shape (..., n, n), one defect per matrix."""
     mat = np.asarray(mat)
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(mat - mat.conj().T))) / scale
+    scale = np.abs(mat).max(axis=(-2, -1), initial=0.0)
+    diff = np.abs(mat - np.swapaxes(mat, -2, -1).conj()).max(axis=(-2, -1), initial=0.0)
+    defect = np.divide(diff, scale, out=np.zeros_like(scale), where=scale > 0.0)
+    return float(defect) if mat.ndim == 2 else defect
 
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:

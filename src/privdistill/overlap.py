@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascent import ascend
+from .ascent import ascend, row_kron
 from .linalg import CONV_TOL, kron_all
 from .private_states import PrivateStateSpec
 
@@ -67,24 +67,21 @@ def cross_operator(spec: PrivateStateSpec, i: int, j: int) -> np.ndarray:
 
 
 def _cross_operators(spec: PrivateStateSpec, pairs: list[tuple[int, int]]) -> np.ndarray:
-    """The cross operator of every pair, stacked in pair order."""
-    d = spec.d
-    for i, j in pairs:
-        if not (0 <= i < d and 0 <= j < d):
-            raise ValueError(f"key values must lie in [0, {d}), got ({i}, {j})")
-        if i == j:
-            raise ValueError("cross operator needs two distinct key values")
-    s = spec.shield_total_dim
-    xs = np.empty((len(pairs), s, s), dtype=complex)
-    left: dict[int, np.ndarray] = {}  # U_i rho, per key value
-    for x, (i, j) in zip(xs, pairs):
-        if i not in left:
-            left[i] = spec.unitaries[i].matrix @ spec.shield.matrix
-        np.matmul(left[i], spec.unitaries[j].matrix.conj().T, out=x)
-        if np.abs(x).max() <= CROSS_NORM_FLOOR:
-            raise ValueError(
-                "cross operator is numerically zero; the shield state is corrupted"
-            )
+    """The cross operator of every pair, stacked: one batched matmul per key value j."""
+    keys = np.array(pairs, dtype=int).reshape(-1, 2)
+    outside = ((keys < 0) | (keys >= spec.d)).any(axis=1)
+    if outside.any():
+        i, j = keys[np.argmax(outside)]
+        raise ValueError(f"key values must lie in [0, {spec.d}), got ({i}, {j})")
+    if (keys[:, 0] == keys[:, 1]).any():
+        raise ValueError("cross operator needs two distinct key values")
+    left = np.array([u.matrix for u in spec.unitaries]) @ spec.shield.matrix  # U_a rho
+    xs = np.empty((len(keys),) + spec.shield.matrix.shape, dtype=complex)
+    for j in np.flatnonzero(np.bincount(keys[:, 1])):
+        rows = np.flatnonzero(keys[:, 1] == j)
+        xs[rows] = left[keys[rows, 0]] @ spec.unitaries[j].matrix.conj().T
+        if np.abs(xs[rows]).max(axis=(1, 2)).min() <= CROSS_NORM_FLOOR:
+            raise ValueError("cross operator is numerically zero; the shield state is corrupted")
     return xs
 
 
@@ -103,8 +100,8 @@ def _random_starts(
     Each start is one `normal` draw from its own generator, split per
     factor, bras before kets, into the real and then the imaginary part.
     The draws of a generator concatenate, so the vectors are bit for bit
-    those of one `normal` call per part; each is normalized by its own
-    `norm` call, as one vector at a time.
+    those of one `normal` call per part. A factor's norms are one stack of
+    dot products, each with the bits of `np.linalg.norm` of its row alone.
     """
     size = 4 * sum(dims)
     z = np.array([np.random.default_rng(s).normal(size=size) for s in seeds])
@@ -112,34 +109,39 @@ def _random_starts(
     factors, at = [], 0
     for dim in dims + dims:
         v = z[:, at : at + dim] + 1j * z[:, at + dim : at + 2 * dim]
-        norms = np.array([np.linalg.norm(row) for row in v])
+        re, im = v.real, v.imag  # strided, as `norm` reads a complex row
+        norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
         factors.append(v / norms.reshape(-1, 1))
         at += 2 * dim
     return factors[: len(dims)], factors[len(dims) :]
 
 
-def _starts(
-    x: np.ndarray, dims: tuple[int, ...], restarts: int,
-    seed: int | np.random.SeedSequence,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Start factors for `x`, as lists of (starts, dim) arrays (bras, kets).
+def _stacked_starts(
+    xs: np.ndarray, dims: tuple[int, ...], restarts: int, seeds: list
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Start factors of every operator of the stack `xs`, as lists of
+    (starts, dim) arrays (bras, kets), and the number of starts of each.
 
-    First the basis products at the (up to DETERMINISTIC_STARTS) largest
-    nonzero entries of `x`, so the result can never fall below the best
-    single entry; then `restarts` random products, one per child of `seed`.
-    """
-    magnitudes = np.abs(x).ravel()
-    top = np.argsort(magnitudes)[::-1][:DETERMINISTIC_STARTS]
-    top = top[magnitudes[top] > 0.0]
-    random = _random_starts(dims, _seed_sequence(seed).spawn(restarts))
+    The starts of xs[k] are contiguous: the basis products at the (up to
+    DETERMINISTIC_STARTS) largest nonzero entries of xs[k], so its result
+    is never below its best entry, then one random product per child of
+    seeds[k]."""
+    magnitudes = np.abs(xs).reshape(len(xs), -1)
+    top = np.argsort(magnitudes, axis=1)[:, ::-1][:, :DETERMINISTIC_STARTS]
+    keep = np.take_along_axis(magnitudes, top, axis=1) > 0.0  # a prefix of each row
+    counts = keep.sum(axis=1) + restarts
+    first = np.cumsum(counts) - counts
+    basis_rows = (first[:, None] + np.arange(top.shape[1]))[keep]
+    random_rows = ((first + counts - restarts)[:, None] + np.arange(restarts)).ravel()
+    children = [c for s in seeds for c in _seed_sequence(s).spawn(restarts)]
     sides = []
-    for flat, drawn in zip(np.divmod(top, x.shape[0]), random):
-        basis = np.unravel_index(flat, dims)
-        sides.append([
-            np.concatenate([np.eye(dim, dtype=complex)[idx], factor])
-            for idx, dim, factor in zip(basis, dims, drawn)
-        ])
-    return sides[0], sides[1]
+    for flat, drawn in zip(np.divmod(top[keep], xs.shape[1]), _random_starts(dims, children)):
+        side = [np.zeros((counts.sum(), dim), dtype=complex) for dim in dims]
+        for f, idx, factor in zip(side, np.unravel_index(flat, dims), drawn):
+            f[basis_rows, idx] = 1.0
+            f[random_rows] = factor
+        sides.append(side)
+    return sides[0], sides[1], counts
 
 
 def _check_settings(restarts: int, max_iters: int, conv_tol: float) -> None:
@@ -161,29 +163,37 @@ def _contract_except(tensor: np.ndarray, vectors: list[np.ndarray], skip: int) -
     return t
 
 
-def _result(
-    rows: slice, bras: list[np.ndarray], kets: list[np.ndarray],
-    value: np.ndarray, sweeps: np.ndarray, converged: np.ndarray,
-) -> OverlapResult:
-    """The OverlapResult of the starts in `rows`, led by the best of them."""
-    etas = np.abs(value[rows])
-    best = rows.start + int(np.argmax(etas))
-    eta = float(etas[best - rows.start])
-    if eta < ETA_FLOOR:
+def _overlaps(
+    xs: np.ndarray, dims: tuple[int, ...], restarts: int,
+    seeds: list, max_iters: int, conv_tol: float,
+) -> tuple[list[OverlapResult], list[np.ndarray], list[np.ndarray]]:
+    """One ascent over the starts of every operator of `xs`, operator k
+    drawing from seeds[k]: the result of each, and the factors of their
+    best starts as (operators, dim) arrays (bras, kets)."""
+    bras, kets, counts = _stacked_starts(xs, dims, restarts, seeds)
+    who = np.repeat(np.arange(len(xs)), counts)
+    bras, kets, value, sweeps, converged = ascend(xs, who, dims, bras, kets, max_iters, conv_tol)
+    etas = np.abs(value)
+    first = np.cumsum(counts) - counts
+    best = np.lexsort((-etas, who))[first]  # np.argmax over each operator's starts
+    if etas[best].min() < ETA_FLOOR:
         warnings.warn(
-            f"product overlap {eta:.3e} is below {ETA_FLOOR:.0e}; "
+            f"product overlap {etas[best].min():.3e} is below {ETA_FLOOR:.0e}; "
             "its phase is numerically meaningless",
             stacklevel=3,
         )
-    return OverlapResult(
-        eta=eta,
-        theta=float(np.angle(value[best])),
-        bra_vectors=[b[best].copy() for b in bras],
-        ket_vectors=[g[best].copy() for g in kets],
-        converged=bool(converged[best]),
-        sweeps=int(sweeps[best]),
-        start_etas=etas.tolist(),
-    )
+    bras, kets = [f[best] for f in bras], [g[best] for g in kets]
+    results = [
+        OverlapResult(
+            eta=float(etas[b]), theta=float(theta),
+            bra_vectors=[f[k] for f in bras], ket_vectors=[g[k] for g in kets],
+            converged=bool(converged[b]), sweeps=int(sweeps[b]), start_etas=e.tolist(),
+        )
+        for k, (b, theta, e) in enumerate(
+            zip(best, np.angle(value[best]), np.split(etas, first[1:]))
+        )
+    ]
+    return results, bras, kets
 
 
 def eta_optimize(
@@ -206,16 +216,7 @@ def eta_optimize(
     total = int(np.prod(dims, dtype=np.int64))
     if x.shape != (total, total):
         raise ValueError(f"operator shape {x.shape} does not match dims {dims}")
-    bras, kets = _starts(x, dims, restarts, seed)
-    who = np.zeros(len(bras[0]), dtype=int)
-    state = ascend(x[None], who, dims, bras, kets, max_iters, conv_tol)
-    return _result(slice(0, who.size), *state)
-
-
-def _branch_weight(op: np.ndarray, vectors: list[np.ndarray]) -> float:
-    """<v|op|v> for the product vector v of `vectors`."""
-    v = kron_all(vectors)
-    return float(np.real(v.conj() @ op @ v))
+    return _overlaps(x[None], dims, restarts, [seed], max_iters, conv_tol)[0][0]
 
 
 def _optimize(
@@ -226,30 +227,27 @@ def _optimize(
     max_iters: int,
     conv_tol: float,
 ) -> list[PairOverlap]:
-    """One ascent over the starts of every pair; pair k draws from seeds[k]."""
-    dims = tuple(spec.shield_dims)
+    """One ascent over the starts of every pair; pair k draws from seeds[k].
+    The branch weights <v|U_a rho U_a^dagger|v> (a1: key i, bras; a2: key j,
+    kets) are one batched product per key value, with the bits that
+    `v.conj() @ op @ v` gives each row alone."""
     xs = _cross_operators(spec, pairs)
-    starts = [_starts(x, dims, restarts, s) for x, s in zip(xs, seeds)]
-    counts = [len(bras[0]) for bras, _ in starts]
-    who = np.repeat(np.arange(len(pairs)), counts)
-    bras = [np.concatenate([b[k] for b, _ in starts]) for k in range(len(dims))]
-    kets = [np.concatenate([g[k] for _, g in starts]) for k in range(len(dims))]
-    state = ascend(xs, who, dims, bras, kets, max_iters, conv_tol)
-
-    branch = {  # U_k rho U_k^dagger, per key value
-        k: spec.unitaries[k].matrix @ spec.shield.matrix @ spec.unitaries[k].matrix.conj().T
-        for k in {k for pair in pairs for k in pair}
-    }
-    out, lo = [], 0
-    for (i, j), count in zip(pairs, counts):
-        result = _result(slice(lo, lo + count), *state)
-        lo += count
-        out.append(PairOverlap(
-            **vars(result),
-            a1=_branch_weight(branch[i], result.bra_vectors),
-            a2=_branch_weight(branch[j], result.ket_vectors),
-        ))
-    return out
+    results, bras, kets = _overlaps(
+        xs, tuple(spec.shield_dims), restarts, seeds, max_iters, conv_tol
+    )
+    keys = np.array(pairs).T.ravel()  # every i, then every j
+    vs = np.concatenate([row_kron(bras), row_kron(kets)])[:, None, :]
+    weights = np.empty(keys.size)
+    for a in np.flatnonzero(np.bincount(keys)):
+        rows = keys == a
+        u = spec.unitaries[a].matrix
+        op = u @ spec.shield.matrix @ u.conj().T
+        weights[rows] = ((vs[rows].conj() @ op) @ vs[rows].transpose(0, 2, 1)).real.ravel()
+    a1, a2 = weights.reshape(2, -1)
+    return [
+        PairOverlap(**vars(r), a1=float(w1), a2=float(w2))
+        for r, w1, w2 in zip(results, a1, a2)
+    ]
 
 
 def optimize_pair(

@@ -89,21 +89,27 @@ def validate_state(mat: np.ndarray, lay: SubsystemLayout | None = None) -> Densi
     if lay is None:
         lay = layout([("A0", mat.shape[0], 0, "shield")])
     lay.check_matches(mat)
-
-    violations: list[tuple[str, float]] = []
-    defect = hermiticity_defect(mat)
-    if defect > HERM_TOL:
-        violations.append(("hermiticity", defect))
-    herm = (mat + mat.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(herm).min()) if mat.size else 0.0
-    if min_eig < -PSD_TOL:
-        violations.append(("positivity", min_eig))
-    trace_err = float(abs(np.trace(mat) - 1.0))
-    if trace_err > TRACE_TOL:
-        violations.append(("unit trace", trace_err))
-    if violations:
-        raise StateValidationError(violations)
+    check_states(mat[None])
     return DensityMatrix(matrix=mat, layout=lay)
+
+
+def check_states(mats: np.ndarray) -> None:
+    """Check that each matrix of the (count, n, n) stack `mats` is finite,
+    Hermitian, PSD and of unit trace; raise StateValidationError with every
+    invariant the first failing member violates, and by how much."""
+    mats = as_complex(mats)
+    defect = hermiticity_defect(mats)
+    min_eig = np.linalg.eigvalsh((mats + mats.conj().transpose(0, 2, 1)) / 2).min(axis=1)
+    trace_err = np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0)
+    checks = (
+        ("hermiticity", defect, defect > HERM_TOL),
+        ("positivity", min_eig, min_eig < -PSD_TOL),
+        ("unit trace", trace_err, trace_err > TRACE_TOL),
+    )
+    failed = np.flatnonzero(np.any([bad for _, _, bad in checks], axis=0))
+    if failed.size:
+        k = failed[0]
+        raise StateValidationError([(name, float(v[k])) for name, v, bad in checks if bad[k]])
 
 
 def validate_unitary(mat: np.ndarray) -> UnitaryOp:

@@ -227,9 +227,13 @@ def test_reports_are_byte_identical_across_runs(spec_path, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_bad_shield_dims_argument():
-    with pytest.raises(SystemExit):
-        main(["gen", "--shield-dims", "2,x"])
+def test_bad_shield_dims_argument(capsys):
+    """A usage error exits 1 with one line, not 2, the failed-certificate
+    code, with argparse's usage text."""
+    assert main(["gen", "--shield-dims", "2,x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--shield-dims" in err
+    assert err.count("\n") == 1
 
 
 def _null_entry(obj):
@@ -321,6 +325,8 @@ def test_malformed_spec_gives_one_line_error(spec_path, tmp_path, capsys, comman
     ["bound", "--restarts", "-1"],
     ["build", "--power", "0"],
     ["build", "--power", "-2"],
+    ["eta", "--i", "0", "--j", "1", "--restarts", "abc"],
+    ["bound", "--conv-tol", "-1e-12"],
 ])
 def test_bad_optimizer_or_power_flag_gives_one_line_error(spec_path, tmp_path, capsys, args):
     out = tmp_path / "out.json"

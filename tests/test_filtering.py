@@ -8,10 +8,11 @@ from privdistill.filtering import (
     apply_filter,
     build_filters,
     filter_outcome,
+    filter_outcomes,
     predict_outcome,
 )
 from privdistill.linalg import kron_all, layout, permute_factors, von_neumann_entropy
-from privdistill.overlap import PairOverlap, optimize_pair
+from privdistill.overlap import PairOverlap, optimize_pair, optimize_pairs
 from privdistill.private_states import PrivateStateSpec, build_private_state, random_spec
 from privdistill.states import UnitaryOp, bell_vector, validate_state
 
@@ -226,3 +227,37 @@ def test_filter_outcome_matches_dense_filter(d, dims, rank_fraction, variant, se
     assert abs(fast.residual - dense.residual) <= 1e-14
     assert np.abs(fast.state.matrix - dense.state.matrix).max() <= 1e-14
     assert fast.state.layout == dense.state.layout
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    rank_fraction=st.floats(0.0, 1.0),
+    variant=st.sampled_from(["V", "W"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filter_outcomes_of_every_pair_match_dense_filters(d, dims, rank_fraction, variant, seed):
+    """One stacked `filter_outcomes` over all key pairs of a spec gives each
+    pair the outcome of the dense filter: success, p, residual and the
+    post-filter state agree to 1e-13."""
+    assume(d ** len(dims) * int(np.prod(dims)) <= 512)
+    rank = max(1, round(rank_fraction * int(np.prod(dims))))
+    spec = random_spec(d, len(dims), tuple(dims), seed=seed, shield_rank=rank)
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    results = optimize_pairs(spec, pairs, restarts=2, seed=seed)
+    try:
+        filter_sets = [build_filters(spec, i, j, r, variant=variant)
+                       for (i, j), r in zip(pairs, results)]
+    except FilterError:
+        assume(False)
+    state = build_private_state(spec)
+    outcomes = filter_outcomes(spec, filter_sets)
+    assert len(outcomes) == len(pairs)
+    for filters, fast in zip(filter_sets, outcomes):
+        dense = apply_filter(state, filters)
+        assert abs(fast.success - dense.success) <= 1e-13
+        assert abs(fast.p - dense.p) <= 1e-13
+        assert abs(fast.residual - dense.residual) <= 1e-13
+        assert np.abs(fast.state.matrix - dense.state.matrix).max() <= 1e-13
+        assert fast.state.layout == dense.state.layout

@@ -1,19 +1,20 @@
 """Product-overlap maximization: oracles, invariants, and the dual route."""
 
-import ctypes
 import dataclasses
-import glob
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privdistill.ascent import block_grid, block_product
+from conftest import BITWISE_BLAS
+from privdistill.ascent import ascend, block_grid, block_product, fit, row_kron
 from privdistill.linalg import layout
 from privdistill.overlap import (
+    DETERMINISTIC_STARTS,
+    _cross_operators,
     _random_starts,
+    _stacked_starts,
     brute_force_eta,
     cross_operator,
     eta_optimize,
@@ -26,46 +27,6 @@ from privdistill.states import UnitaryOp, validate_state
 SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
-
-def _openblas_setup() -> tuple[str, str, int] | None:
-    """NumPy's OpenBLAS at run time: (version, kernel core, threads), or
-    None when NumPy uses another BLAS or the library cannot be queried."""
-    wheel_libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
-    for path in glob.glob(os.path.join(wheel_libs, "*openblas*")):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        names = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
-        for prefix, suffix in names:
-            try:
-                config = getattr(lib, f"{prefix}get_config{suffix}")
-                core = getattr(lib, f"{prefix}get_corename{suffix}")
-                threads = getattr(lib, f"{prefix}get_num_threads{suffix}")
-            except AttributeError:
-                continue
-            config.restype = core.restype = ctypes.c_char_p
-            threads.restype = ctypes.c_int
-            return config().decode().split()[1], core().decode(), threads()
-    return None
-
-
-# Each block of a batched product is the same BLAS call, with the same
-# shapes, as the product of that block's rows alone, so the bits agree if
-# the BLAS gives equal bits for equal calls. That was checked with NumPy 2.4
-# and its OpenBLAS 0.3.31, forcing each of these x86-64 kernels
-# (OPENBLAS_CORETYPE) with 1 and 2 threads. Elsewhere (MKL, say, may round
-# differently at other memory alignments) the bit-for-bit checks are
-# skipped and only the agreement to 1e-13 is tested.
-CHECKED_KERNELS = {"SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katmai"}
-_setup = _openblas_setup()
-BITWISE_BLAS = (
-    np.__version__.startswith("2.4.")
-    and _setup is not None
-    and _setup[0].startswith("0.3.31")
-    and _setup[1] in CHECKED_KERNELS
-    and _setup[2] <= 2
-)
 
 BELL_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
@@ -298,6 +259,122 @@ def test_random_starts_are_the_per_factor_draws_bit_for_bit(dims):
         got = [f[start] for f in bras + kets]
         for a, b in zip(want, got):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def per_operator_starts(x, dims, restarts, seed):
+    """The starts of one operator as earlier versions built them, one start
+    vector at a time: (bras, kets) as lists of (starts, dim) arrays."""
+    magnitudes = np.abs(x).ravel()
+    top = np.argsort(magnitudes)[::-1][:DETERMINISTIC_STARTS]
+    top = top[magnitudes[top] > 0.0]
+    drawn = []
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        drawn.append(per_factor_draws(dims, rng) + per_factor_draws(dims, rng))
+    sides = []
+    for side, flat in enumerate(np.divmod(top, x.shape[0])):
+        basis = np.unravel_index(flat, dims)
+        sides.append([
+            np.array([np.eye(dim, dtype=complex)[i] for i in basis[k]]
+                     + [d[side * len(dims) + k] for d in drawn]).reshape(-1, dim)
+            for k, dim in enumerate(dims)
+        ])
+    return sides
+
+
+def _sparse(entries, size):
+    x = np.zeros((size, size), dtype=complex)
+    for (r, c), v in entries.items():
+        x[r, c] = v
+    return x
+
+
+@pytest.mark.parametrize("restarts", [0, 3])
+def test_stacked_starts_are_the_per_operator_starts_bit_for_bit(restarts):
+    """One stack of starts for many operators holds, bit for bit, the
+    starts each operator would get alone. The SWAP shield's operator has
+    four tied entries; two operators have fewer than four nonzero entries,
+    and so fewer deterministic starts."""
+    swap = cross_operator(two_qubit_shield_spec(np.eye(4) / 4, SWAP), 0, 1)
+    stacks = [
+        ((2, 2), np.array([
+            swap,
+            _sparse({(0, 3): 0.5, (2, 1): -0.5j}, 4),
+            _sparse({(1, 1): 1e-3}, 4),
+            cross_operator(random_spec(2, 2, (2, 2), seed=4), 0, 1),
+        ])),
+        ((2, 4, 3), _cross_operators(
+            random_spec(4, 3, (2, 4, 3), seed=8), [(0, 1), (0, 3), (2, 3), (1, 2)])),
+    ]
+    for (dims, xs), basis in zip(stacks, ([4, 2, 1, 4], [4] * 4)):
+        seeds = list(range(10, 10 + len(xs)))
+        bras, kets, counts = _stacked_starts(xs, dims, restarts, seeds)
+        want = [per_operator_starts(x, dims, restarts, s) for x, s in zip(xs, seeds)]
+        assert counts.tolist() == [len(w[0][0]) for w in want] == [b + restarts for b in basis]
+        for side, got in enumerate((bras, kets)):
+            for k in range(len(dims)):
+                ref = np.concatenate([w[side][k] for w in want])
+                assert np.array_equal(got[k].view(np.int64), ref.view(np.int64))
+
+
+def ascend_without_compaction(xs, who, dims, bras, kets, max_iters, conv_tol):
+    """The ascent with its state kept full size: every sweep gathers the
+    rows of the live starts and scatters the new ones back."""
+    grid = block_grid(who, np.bincount(who, minlength=len(xs)))
+    g_rows = row_kron(kets)
+    value = np.einsum("bc,bc->b", block_product(row_kron(bras).conj(), xs, grid), g_rows)
+    sweeps = np.full(value.size, max_iters)
+    converged = np.zeros(value.size, dtype=bool)
+    live = np.arange(who.size)
+    for sweep in range(1, max_iters + 1):
+        f = [b[live] for b in bras]
+        t = block_product(g_rows[live], xs.transpose(0, 2, 1), grid)
+        fit(t, dims, f, [a.conj() for a in f])
+        w_conj = block_product(row_kron(f).conj(), xs, grid)
+        g = [k[live] for k in kets]
+        fit(w_conj.conj(), dims, g, [a.conj() for a in g])
+        g_rows[live] = row_kron(g)
+        for k in range(len(dims)):
+            bras[k][live], kets[k][live] = f[k], g[k]
+        new = np.einsum("bc,bc->b", w_conj, g_rows[live])
+        done = np.abs(np.abs(new) - np.abs(value[live])) <= conv_tol
+        value[live] = new
+        converged[live[done]] = True
+        sweeps[live[done]] = sweep
+        live = live[~done]
+        if not live.size:
+            break
+        grid = block_grid(who[live], np.bincount(who[live], minlength=len(xs)))
+    return bras, kets, value, sweeps, converged
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 2, 25, 200])
+@pytest.mark.parametrize("d, dims", [(3, (2, 3)), (4, (2, 2, 2))])
+def test_ascent_keeps_every_start_whenever_it_stops(d, dims, max_iters):
+    """The compact ascent leaves every start's factors as they were when
+    it stopped, converged or cut at `max_iters`: they reproduce its
+    returned overlap, and its sweeps and flag are those of a run that
+    keeps the state full size (bit for bit on a BLAS where that was
+    checked)."""
+    spec = random_spec(d, len(dims), dims, seed=17, shield_rank=3)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    xs = _cross_operators(spec, pairs)
+    bras, kets, counts = _stacked_starts(xs, dims, 5, list(range(len(pairs))))
+    who = np.repeat(np.arange(len(pairs)), counts)
+    ref = ascend_without_compaction(
+        xs, who, dims, [b.copy() for b in bras], [k.copy() for k in kets], max_iters, 1e-12
+    )
+    got = ascend(xs, who, dims, bras, kets, max_iters, 1e-12)
+    f, g, value, sweeps, converged = got
+    stored = np.einsum("ba,bac,bc->b", row_kron(f).conj(), xs[who], row_kron(g))
+    assert np.abs(stored - value).max() <= 1e-13
+    assert np.array_equal(sweeps, ref[3]) and np.array_equal(converged, ref[4])
+    if max_iters == 25:  # some starts converged, the others were cut
+        assert 0 < converged.sum() < converged.size
+    for a, b in zip(f + g + [value], ref[0] + ref[1] + [ref[2]]):
+        assert np.abs(a - b).max() <= 1e-13
+        if BITWISE_BLAS:
+            assert np.array_equal(a, b)
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,6 +6,7 @@ from privdistill.states import (
     StateValidationError,
     UnitaryOp,
     bell_vector,
+    check_states,
     random_density,
     random_unitary,
     validate_state,
@@ -133,3 +134,25 @@ def test_bell_vector_argument_checks():
         bell_vector(+1, 0, 0, 2, 2)
     with pytest.raises(ValueError):
         bell_vector(+1, 0, 2, 2, 2)
+
+
+@pytest.mark.parametrize("bad, name", [
+    (np.diag([1.5, -0.5]), "positivity"),
+    (np.eye(2) * 0.6, "unit trace"),
+    (np.array([[0.5, 0.3], [0.0, 0.5]]), "hermiticity"),
+])
+def test_check_states_refuses_any_bad_member_of_a_stack(bad, name):
+    """A stack passes only if every member is a density matrix; the error
+    names the invariant the bad member breaks, wherever it sits."""
+    good = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
+    check_states(np.array([good, np.eye(2) / 2, good]))
+    for at in range(3):
+        stack = np.array([good, np.eye(2) / 2, good], dtype=complex)
+        stack[at] = bad
+        with pytest.raises(StateValidationError) as err:
+            check_states(stack)
+        assert [n for n, _ in err.value.violations] == [name]
+    stack = np.array([good, good], dtype=complex)
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        check_states(stack)
