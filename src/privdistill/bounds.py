@@ -212,6 +212,8 @@ def ef_certificate(
         raise ValueError("the formation certificate applies to two parties")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    if not np.isfinite(tol):  # NaN or an infinite tol would pass any state
+        raise ValueError(f"tol must be finite, got {tol}")
     pairs = eigenvectors_of_pdit(spec)
     if not pairs:
         raise ValueError("state has numerically empty range")

@@ -19,6 +19,7 @@ are deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -101,7 +102,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     if args.power != 1:
         # refuse before the power's generating data is made, not after
-        check_dense_dim(spec.total_dim**args.power)
+        check_dense_dim(spec.total_dim, args.power)
         spec, _ = tensor_power_spec(spec, args.power)
     rho = build_private_state(spec).rho
     write_matrix(rho.matrix, rho.layout, args.out)
@@ -292,9 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=8)
+def _parser(env: tuple[tuple[str, str], ...]) -> argparse.ArgumentParser:
+    """`build_parser()` for the PRIVDISTILL_* variables `env`, which are the
+    current ones; a malformed value raises and so is never cached."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
+    env = tuple(sorted(
+        (name, value) for name, value in os.environ.items() if name.startswith(ENV_PREFIX)
+    ))
     try:  # the parser reads PRIVDISTILL_* defaults, which may be malformed
-        args = build_parser().parse_args(argv)
+        args = _parser(env).parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

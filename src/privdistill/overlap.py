@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ascent
 from .ascent import ascend, row_kron
 from .linalg import CONV_TOL, kron_all
 from .private_states import PrivateStateSpec
@@ -125,10 +126,17 @@ def _stacked_starts(
     The starts of xs[k] are contiguous: the basis products at the (up to
     DETERMINISTIC_STARTS) largest nonzero entries of xs[k], so its result
     is never below its best entry, then one random product per child of
-    seeds[k]."""
-    magnitudes = np.abs(xs).reshape(len(xs), -1)
-    top = np.argsort(magnitudes, axis=1)[:, ::-1][:, :DETERMINISTIC_STARTS]
-    keep = np.take_along_axis(magnitudes, top, axis=1) > 0.0  # a prefix of each row
+    seeds[k]. The entries are sorted in chunks of GATHER_BYTES of
+    operators, which bounds the magnitudes and sort indices held at once;
+    each row is sorted alone either way."""
+    top = np.empty((len(xs), min(DETERMINISTIC_STARTS, xs[0].size)), dtype=np.intp)
+    keep = np.empty(top.shape, dtype=bool)  # a prefix of each row
+    step = max(1, ascent.GATHER_BYTES // xs[0].nbytes)
+    for lo in range(0, len(xs), step):
+        magnitudes = np.abs(xs[lo : lo + step]).reshape(-1, xs[0].size)
+        order = np.argsort(magnitudes, axis=1)[:, ::-1][:, :DETERMINISTIC_STARTS]
+        top[lo : lo + step] = order
+        keep[lo : lo + step] = np.take_along_axis(magnitudes, order, axis=1) > 0.0
     counts = keep.sum(axis=1) + restarts
     first = np.cumsum(counts) - counts
     basis_rows = (first[:, None] + np.arange(top.shape[1]))[keep]
@@ -150,8 +158,8 @@ def _check_settings(restarts: int, max_iters: int, conv_tol: float) -> None:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    if not conv_tol >= 0.0:  # also refuses NaN
-        raise ValueError(f"conv_tol must be a number >= 0, got {conv_tol}")
+    if not 0.0 <= conv_tol < np.inf:  # also refuses NaN
+        raise ValueError(f"conv_tol must be a finite number >= 0, got {conv_tol}")
 
 
 def _contract_except(tensor: np.ndarray, vectors: list[np.ndarray], skip: int) -> np.ndarray:

@@ -128,10 +128,18 @@ def repeated_key_index(value: int, d: int, parties: int) -> int:
     return value * ((d**parties - 1) // (d - 1))
 
 
-def check_dense_dim(dim: int) -> None:
-    """Refuse a dense state of dimension above DEFAULT_DIM_CAP."""
-    if dim > DEFAULT_DIM_CAP:
-        raise ValueError(f"dense state dimension {dim} exceeds cap {DEFAULT_DIM_CAP}")
+def check_dense_dim(dim: int, power: int = 1) -> None:
+    """Refuse a dense state of dimension dim**power above DEFAULT_DIM_CAP.
+
+    The power is formed one factor at a time and only until it passes the
+    cap, so a huge power costs nothing and is named as `dim^power`.
+    """
+    total = 1
+    for k in range(1, power + 1):
+        total *= dim
+        if total > DEFAULT_DIM_CAP:
+            size = total if k == power else f"{dim}^{power}"
+            raise ValueError(f"dense state dimension {size} exceeds cap {DEFAULT_DIM_CAP}")
 
 
 def build_private_state(spec: PrivateStateSpec) -> PrivateState:

@@ -34,6 +34,7 @@ WRITE_BLOCK = 1 << 15
 # top-level "data" list. `%r` of a float is `float.__repr__`, which is how
 # json writes finite floats.
 _ENTRY = ",\n    [\n      %r,\n      %r\n    ]"
+_ZERO = _ENTRY % (0.0, 0.0)  # an entry whose parts are both +0.0
 
 
 def _size(value: Any, what: str) -> int:
@@ -81,7 +82,12 @@ def matrix_to_json(
 
 
 def _matrix_text(mat: np.ndarray, lay: SubsystemLayout | None) -> Iterable[str]:
-    """`dumps(matrix_to_json(mat, lay))` in pieces, one block of rows each."""
+    """`dumps(matrix_to_json(mat, lay))` in pieces, a block of rows at a time.
+
+    Within a block, each run of entries that are exactly +0.0 + 0.0j (most
+    of a private state's entries) is one piece, one repeated string, and
+    each run of other entries is one piece, one `%` template.
+    """
     if mat.size == 0:
         yield dumps(matrix_to_json(mat, lay))
         return
@@ -89,9 +95,20 @@ def _matrix_text(mat: np.ndarray, lay: SubsystemLayout | None) -> Iterable[str]:
     yield head + '"data": ['
     step = max(1, WRITE_BLOCK // mat.shape[1])
     for start in range(0, mat.shape[0], step):
-        flat = mat[start : start + step].view(float).ravel().tolist()
-        text = _ENTRY * (len(flat) // 2) % tuple(flat)
-        yield text[1:] if start == 0 else text  # no comma before the first
+        block = mat[start : start + step].ravel()
+        # +0.0 has all bits clear; -0.0 does not, so it is formatted by `%r`
+        zero = (block.view(np.uint64).reshape(-1, 2) == 0).all(axis=1)
+        edges = [0, *(np.flatnonzero(zero[1:] != zero[:-1]) + 1).tolist(), zero.size]
+        flat = block[~zero].view(float).tolist()
+        at = 0
+        for lo, hi in zip(edges, edges[1:]):
+            if zero[lo]:
+                text = _ZERO * (hi - lo)
+            else:
+                end = at + 2 * (hi - lo)
+                text = _ENTRY * (hi - lo) % tuple(flat[at:end])
+                at = end
+            yield text[1:] if start == lo == 0 else text  # no comma before the first
     yield "\n  ]" + tail
 
 
@@ -167,7 +184,9 @@ def report_to_json(report: Any) -> Any:
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text; NaN or an infinity raises ValueError, as
+    they are not JSON."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(obj: Any, path: str | None) -> None:

@@ -181,6 +181,13 @@ def test_ef_certificate_rejects_multipartite():
         ef_certificate(spec)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+def test_ef_certificate_refuses_a_non_finite_tol(tol):
+    """A NaN or infinite tol would pass (or fail) every state unchecked."""
+    with pytest.raises(ValueError, match="tol must be finite"):
+        ef_certificate(random_spec(2, 2, (2, 2), seed=0), samples=2, tol=tol)
+
+
 def test_ef_certificate_determinism():
     spec = random_spec(2, 2, (2, 2), seed=12)
     a = ef_certificate(spec, samples=20, seed=9)

@@ -85,6 +85,16 @@ def test_build_power_above_the_dense_cap_is_refused(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_huge_build_power_is_refused_by_the_cap(spec_path, tmp_path, capsys, monkeypatch):
+    """16^100000 has far more digits than Python will format; the cap is
+    checked without forming it."""
+    monkeypatch.setattr(cli, "tensor_power_spec", None)
+    out = tmp_path / "state.json"
+    assert main(["build", "--spec", spec_path, "--power", "100000", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: dense state dimension 16^100000 exceeds cap 4096\n"
+    assert not out.exists()
+
+
 def test_bound_and_distill_build_no_dense_state(spec_path, tmp_path, monkeypatch):
     """`ed_lower_bound`, `bound` and `distill --post-out` never call
     `build_private_state`, wherever the package holds it."""
@@ -219,6 +229,32 @@ def test_malformed_env_default_gives_one_line_error(spec_path, monkeypatch, caps
     assert capsys.readouterr().err == "error: bad value for PRIVDISTILL_RESTARTS: 'abc'\n"
 
 
+def test_parser_defaults_follow_the_environment_between_calls(spec_path, tmp_path, monkeypatch):
+    """The parser is built once per set of PRIVDISTILL_* values, so each
+    in-process call embeds the seed of the environment it ran in."""
+    out = tmp_path / "cert.json"
+    for seed in ("4", "9", None, "4"):
+        if seed is None:
+            monkeypatch.delenv("PRIVDISTILL_SEED")
+        else:
+            monkeypatch.setenv("PRIVDISTILL_SEED", seed)
+        assert main(["certify", "--spec", spec_path, "--samples", "3", "--out", str(out)]) == 0
+        assert read_json(str(out))["config"]["seed"] == int(seed or 0)
+
+
+def test_malformed_env_value_after_a_good_call_gives_one_line_error(
+    spec_path, tmp_path, monkeypatch, capsys
+):
+    args = ["certify", "--spec", spec_path, "--out", str(tmp_path / "cert.json")]
+    monkeypatch.setenv("PRIVDISTILL_SAMPLES", "3")
+    assert main(args) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("PRIVDISTILL_SAMPLES", "3x")
+    for _ in range(2):  # the failed parser build is not cached
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: bad value for PRIVDISTILL_SAMPLES: '3x'\n"
+
+
 def test_reports_are_byte_identical_across_runs(spec_path, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["bound", "--spec", spec_path, "--restarts", "6", "--seed", "9"]
@@ -327,6 +363,11 @@ def test_malformed_spec_gives_one_line_error(spec_path, tmp_path, capsys, comman
     ["build", "--power", "-2"],
     ["eta", "--i", "0", "--j", "1", "--restarts", "abc"],
     ["bound", "--conv-tol", "-1e-12"],
+    ["eta", "--i", "0", "--j", "1", "--conv-tol", "inf"],
+    ["bound", "--conv-tol", "nan"],
+    ["certify", "--tol", "nan"],
+    ["certify", "--tol", "inf"],
+    ["certify", "--tol", "-inf"],
 ])
 def test_bad_optimizer_or_power_flag_gives_one_line_error(spec_path, tmp_path, capsys, args):
     out = tmp_path / "out.json"

@@ -1,6 +1,7 @@
 """Product-overlap maximization: oracles, invariants, and the dual route."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BITWISE_BLAS
+from privdistill import ascent
 from privdistill.ascent import ascend, block_grid, block_product, fit, row_kron
 from privdistill.linalg import layout
 from privdistill.overlap import (
@@ -317,6 +319,27 @@ def test_stacked_starts_are_the_per_operator_starts_bit_for_bit(restarts):
                 assert np.array_equal(got[k].view(np.int64), ref.view(np.int64))
 
 
+@pytest.mark.parametrize("gather_bytes", [1, 3 * 16**3])
+def test_stacked_starts_sorted_in_chunks_are_the_per_operator_starts(gather_bytes):
+    """With GATHER_BYTES cut to one operator, or to three of the ten, the
+    entries are sorted a chunk of operators at a time, and every start is
+    still bit for bit the one its operator gets alone."""
+    spec = random_spec(5, 2, (4, 4), seed=6, shield_rank=2)
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    xs = _cross_operators(spec, pairs)
+    xs[3] = _sparse({(0, 5): 0.25, (7, 1): -1.0}, 16)  # two deterministic starts
+    seeds = list(range(len(xs)))
+    with mock.patch.object(ascent, "GATHER_BYTES", gather_bytes):
+        bras, kets, counts = _stacked_starts(xs, (4, 4), 2, seeds)
+    want = [per_operator_starts(x, (4, 4), 2, s) for x, s in zip(xs, seeds)]
+    assert counts.tolist() == [len(w[0][0]) for w in want]
+    assert counts[3] == 2 + 2
+    for side, got in enumerate((bras, kets)):
+        for k in range(2):
+            ref = np.concatenate([w[side][k] for w in want])
+            assert np.array_equal(got[k].view(np.int64), ref.view(np.int64))
+
+
 def ascend_without_compaction(xs, who, dims, bras, kets, max_iters, conv_tol):
     """The ascent with its state kept full size: every sweep gathers the
     rows of the live starts and scatters the new ones back."""
@@ -441,6 +464,7 @@ def test_two_party_optimum_is_schmidt_stationary(d, dims, rank_fraction, noise, 
 
 @pytest.mark.parametrize("bad", [
     {"restarts": -1}, {"max_iters": -1}, {"conv_tol": -1e-12}, {"conv_tol": float("nan")},
+    {"conv_tol": float("inf")},
 ])
 def test_optimizers_refuse_bad_settings(bad):
     spec = random_spec(2, 2, (2, 2), seed=0)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from privdistill import serialize
@@ -176,3 +176,62 @@ def test_write_matrix_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         write_matrix(np.array([[np.nan]]), None, str(path))
     assert not path.exists()
+
+
+ZERO_PAIRS = [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cols=st.integers(1, 9),
+    runs=st.lists(
+        st.tuples(
+            st.integers(1, 30),
+            st.one_of(
+                st.sampled_from(ZERO_PAIRS),
+                st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(EDGE_FLOATS)),
+            ),
+        ),
+        min_size=1, max_size=12,
+    ),
+    block=st.integers(1, 40),
+)
+@example(cols=1, runs=[(1, (0.0, 0.0))], block=1)
+@example(cols=3, runs=[(15, (0.0, 0.0))], block=2)
+@example(cols=7, runs=[(49, (0.0, 0.0))], block=1 << 15)
+def test_write_matrix_zero_runs_equal_the_indent_encoder(cols, runs, block):
+    """Runs of +0.0 entries, beside entries with one -0.0 part, written
+    with rows per block such that runs straddle block edges; the examples
+    are all-zero matrices."""
+    flat = [pair for n, pair in runs for _ in range(n)]
+    rows = -(-len(flat) // cols)
+    flat += [(0.0, 0.0)] * (rows * cols - len(flat))
+    mat = np.array(flat).view(complex).reshape(rows, cols)
+    out = io.StringIO()
+    with mock.patch.object(serialize, "WRITE_BLOCK", block), contextlib.redirect_stdout(out):
+        write_matrix(mat, None, "-")
+    assert out.getvalue() == dumps(matrix_to_json(mat))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    dims=st.lists(st.integers(1, 2), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.integers(1, 40),
+)
+def test_write_matrix_of_private_states_equals_the_indent_encoder(d, dims, seed, block):
+    """A private state is mostly +0.0 outside its d^2 key blocks."""
+    assume(d ** len(dims) * np.prod(dims) <= 128)
+    rho = build_private_state(random_spec(d, len(dims), dims, seed=seed)).rho
+    out = io.StringIO()
+    with mock.patch.object(serialize, "WRITE_BLOCK", block), contextlib.redirect_stdout(out):
+        write_matrix(rho.matrix, rho.layout, "-")
+    assert out.getvalue() == dumps(state_to_json(rho))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dumps_refuses_non_finite_numbers(value):
+    with pytest.raises(ValueError):
+        dumps({"tol": value})
