@@ -112,11 +112,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def _pair_report(args: argparse.Namespace):
     """Spec, overlap result and the start of the report for one key pair."""
     spec = _load_spec(args.spec)
-    result = optimize_pair(
-        spec, args.i, args.j,
-        restarts=args.restarts, max_iters=args.max_iters,
-        conv_tol=args.conv_tol, seed=args.seed,
-    )
+    result = optimize_pair(spec, args.i, args.j, **_optimizer_config(args))
     report = {
         "config": _optimizer_config(args),
         "i": args.i,
@@ -159,12 +155,7 @@ def cmd_distill(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
-    report = ed_lower_bound(
-        spec,
-        restarts=args.restarts, max_iters=args.max_iters,
-        conv_tol=args.conv_tol, seed=args.seed,
-    )
-    obj = report_to_json(report)
+    obj = report_to_json(ed_lower_bound(spec, **_optimizer_config(args)))
     obj["config"] = _optimizer_config(args)
     write_json(obj, args.out)
     return 0
@@ -206,11 +197,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             weight = float(raw)
             spec = depolarized_spec(base, weight)
             label = repr(weight)
-        report = ed_lower_bound(
-            spec,
-            restarts=args.restarts, max_iters=args.max_iters,
-            conv_tol=args.conv_tol, seed=args.seed,
-        )
+        report = ed_lower_bound(spec, **_optimizer_config(args))
         eta, p, paper, verified = _best_pair_row(report)
         lines.append(f"{label},{eta!r},{p!r},{paper!r},{verified!r}\n")
     write_text("".join(lines), args.out)
@@ -307,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     try:  # the parser reads PRIVDISTILL_* defaults, which may be malformed
         args = _parser(env).parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

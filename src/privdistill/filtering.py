@@ -181,7 +181,7 @@ def _outcomes(out: np.ndarray, n: int) -> list[FilterOutcome]:
     ]
 
 
-def predict_outcome(result: PairOverlap, d: int = 2) -> PredictedOutcome:
+def predict_outcome(result: PairOverlap, d: int) -> PredictedOutcome:
     """Closed-form success probability and Bell-state weight of the filter.
 
     Exactly two of the d equally weighted key branches survive, each with

@@ -86,37 +86,6 @@ def _cross_operators(spec: PrivateStateSpec, pairs: list[tuple[int, int]]) -> np
     return xs
 
 
-def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
-def _random_starts(
-    dims: tuple[int, ...], seeds: list[np.random.SeedSequence]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Random product starts, one per seed, as lists of (starts, dim) arrays
-    (bras, kets).
-
-    Each start is one `normal` draw from its own generator, split per
-    factor, bras before kets, into the real and then the imaginary part.
-    The draws of a generator concatenate, so the vectors are bit for bit
-    those of one `normal` call per part. A factor's norms are one stack of
-    dot products, each with the bits of `np.linalg.norm` of its row alone.
-    """
-    size = 4 * sum(dims)
-    z = np.array([np.random.default_rng(s).normal(size=size) for s in seeds])
-    z = z.reshape(len(seeds), size)
-    factors, at = [], 0
-    for dim in dims + dims:
-        v = z[:, at : at + dim] + 1j * z[:, at + dim : at + 2 * dim]
-        re, im = v.real, v.imag  # strided, as `norm` reads a complex row
-        norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
-        factors.append(v / norms.reshape(-1, 1))
-        at += 2 * dim
-    return factors[: len(dims)], factors[len(dims) :]
-
-
 def _stacked_starts(
     xs: np.ndarray, dims: tuple[int, ...], restarts: int, seeds: list
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
@@ -125,10 +94,12 @@ def _stacked_starts(
 
     The starts of xs[k] are contiguous: the basis products at the (up to
     DETERMINISTIC_STARTS) largest nonzero entries of xs[k], so its result
-    is never below its best entry, then one random product per child of
-    seeds[k]. The entries are sorted in chunks of GATHER_BYTES of
-    operators, which bounds the magnitudes and sort indices held at once;
-    each row is sorted alone either way."""
+    is never below its best entry, then `restarts` random products. These
+    are the rows of one `normal` draw from a generator seeded by seeds[k],
+    split per factor, bras before kets, into the real and then the
+    imaginary part, each factor normalized per row. The entries are sorted
+    in chunks of GATHER_BYTES of operators, which bounds the magnitudes
+    and sort indices held at once; each row is sorted alone either way."""
     top = np.empty((len(xs), min(DETERMINISTIC_STARTS, xs[0].size)), dtype=np.intp)
     keep = np.empty(top.shape, dtype=bool)  # a prefix of each row
     step = max(1, ascent.GATHER_BYTES // xs[0].nbytes)
@@ -141,13 +112,17 @@ def _stacked_starts(
     first = np.cumsum(counts) - counts
     basis_rows = (first[:, None] + np.arange(top.shape[1]))[keep]
     random_rows = ((first + counts - restarts)[:, None] + np.arange(restarts)).ravel()
-    children = [c for s in seeds for c in _seed_sequence(s).spawn(restarts)]
-    sides = []
-    for flat, drawn in zip(np.divmod(top[keep], xs.shape[1]), _random_starts(dims, children)):
+    z = np.concatenate([
+        np.random.default_rng(s).normal(size=(restarts, 4 * sum(dims))) for s in seeds
+    ])
+    sides, at = [], 0
+    for flat in np.divmod(top[keep], xs.shape[1]):
         side = [np.zeros((counts.sum(), dim), dtype=complex) for dim in dims]
-        for f, idx, factor in zip(side, np.unravel_index(flat, dims), drawn):
+        for f, idx, dim in zip(side, np.unravel_index(flat, dims), dims):
+            v = z[:, at : at + dim] + 1j * z[:, at + dim : at + 2 * dim]
             f[basis_rows, idx] = 1.0
-            f[random_rows] = factor
+            f[random_rows] = v / np.linalg.norm(v, axis=1, keepdims=True)
+            at += 2 * dim
         sides.append(side)
     return sides[0], sides[1], counts
 
@@ -289,7 +264,9 @@ def optimize_pairs(
     _check_settings(restarts, max_iters, conv_tol)
     if not pairs:
         return []
-    children = _seed_sequence(seed).spawn(len(pairs))
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    children = seed.spawn(len(pairs))
     return _optimize(spec, pairs, children, restarts, max_iters, conv_tol)
 
 
@@ -303,7 +280,9 @@ def brute_force_eta(
 
     Each start runs alone, its factors are updated one at a time by plain
     `tensordot` contractions, and it runs a fixed number of sweeps with no
-    convergence test. Only small operators are accepted.
+    convergence test. The starts are drawn here, not by the engine's start
+    code: one generator from `seed`, one `normal` call per part of each
+    factor. Only small operators are accepted.
     """
     dims = tuple(int(v) for v in dims)
     total = int(np.prod(dims, dtype=np.int64))
@@ -314,10 +293,13 @@ def brute_force_eta(
     if x.shape != (total, total):
         raise ValueError(f"operator shape {x.shape} does not match dims {dims}")
     best = 0.0
-    all_bras, all_kets = _random_starts(dims, _seed_sequence(seed).spawn(samples))
-    for sample in range(samples):
-        bras = [f[sample] for f in all_bras]
-        kets = [f[sample] for f in all_kets]
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        bras, kets = [], []
+        for vectors in (bras, kets):
+            for dim in dims:
+                v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                vectors.append(v / np.linalg.norm(v))
         for _ in range(BRUTE_FORCE_SWEEPS):
             v = (x @ kron_all(kets)).reshape(dims)
             for k in range(len(dims)):

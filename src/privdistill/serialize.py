@@ -156,9 +156,9 @@ def spec_to_json(spec: PrivateStateSpec) -> dict[str, Any]:
 def spec_from_json(obj: dict[str, Any]) -> PrivateStateSpec:
     """Rebuild a spec, re-validating the shield state and every unitary.
 
-    Input of the wrong structure (say a number where a list belongs) or an
-    infinite size raises ValueError, like input of the right structure with
-    bad values.
+    Input of the wrong structure (say a number where a list belongs), a
+    missing key or an infinite size raises ValueError, like input of the
+    right structure with bad values.
     """
     try:
         dims = tuple(_size(x, "shield dim") for x in obj["shield_dims"])
@@ -174,6 +174,8 @@ def spec_from_json(obj: dict[str, Any]) -> PrivateStateSpec:
             unitaries=unitaries,
             shield=shield,
         )
+    except KeyError as exc:
+        raise ValueError(f"malformed spec: missing key {exc.args[0]!r}") from exc
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed spec: {exc}") from exc
 

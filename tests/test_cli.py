@@ -353,6 +353,19 @@ def test_malformed_spec_gives_one_line_error(spec_path, tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["shield", "shield_dims", "parties", "rows"])
+def test_spec_missing_a_key_gives_one_line_naming_it(spec_path, tmp_path, capsys, key):
+    obj = read_json(spec_path)
+    del (obj["shield"] if key == "rows" else obj)[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    rc = main(["bound", "--spec", str(bad), "--out", str(out), "--restarts", "2"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: malformed spec: missing key '{key}'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["eta", "--i", "0", "--j", "1", "--restarts", "-2"],
     ["eta", "--i", "0", "--j", "1", "--max-iters", "-5"],

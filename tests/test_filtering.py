@@ -154,6 +154,15 @@ def test_build_filters_rejects_zero_branch_weight():
     with pytest.raises(FilterError):
         build_filters(spec, 0, 1, res)
     with pytest.raises(FilterError):
+        predict_outcome(res, d=2)
+
+
+def test_predict_outcome_needs_the_key_dimension():
+    """The success probability (2/d) min(a1, a2) depends on d, so there is
+    no default: on a d=3 spec a default of 2 would predict 0.629 where the
+    filter succeeds with 0.419."""
+    res = optimize_pair(random_spec(3, 2, (2, 2), seed=1), 0, 1, seed=0)
+    with pytest.raises(TypeError):
         predict_outcome(res)
 
 

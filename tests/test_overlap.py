@@ -15,7 +15,6 @@ from privdistill.linalg import layout
 from privdistill.overlap import (
     DETERMINISTIC_STARTS,
     _cross_operators,
-    _random_starts,
     _stacked_starts,
     brute_force_eta,
     cross_operator,
@@ -242,46 +241,84 @@ def test_overlap_bounds_on_generated_specs(d, dims, rank_fraction, seed, data):
     assert res.eta <= np.sqrt(res.a1 * res.a2) + 1e-12
 
 
-def per_factor_draws(dims, rng):
-    """Random product factors as earlier versions drew them: one `normal`
-    call for the real and one for the imaginary part of each factor."""
-    out = []
-    for dim in dims:
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        out.append(v / np.linalg.norm(v))
-    return out
+def per_factor_draws(dims, restarts, seed):
+    """The random starts of one operator, one start at a time: start r is
+    the r-th draw of 4 sum(dims) normals from one generator seeded by
+    `seed`, split per factor, bras before kets, into the real and then the
+    imaginary part, and each factor is normalized as a row alone. The
+    draws of a generator concatenate, so these are the rows of one
+    (restarts, 4 sum(dims)) draw. Returns 2N (restarts, dim) arrays."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(restarts):
+        z, at, factors = rng.normal(size=4 * sum(dims)), 0, []
+        for dim in dims + dims:
+            v = z[at : at + dim] + 1j * z[at + dim : at + 2 * dim]
+            factors.append(v / np.linalg.norm(v[None], axis=1))
+            at += 2 * dim
+        starts.append(factors)
+    return [
+        np.array([start[k] for start in starts]).reshape(restarts, dim)
+        for k, dim in enumerate(dims + dims)
+    ]
 
 
 @pytest.mark.parametrize("dims", [(1,), (2, 2), (3, 2, 4), (8, 8), (2, 3, 2, 3)])
 def test_random_starts_are_the_per_factor_draws_bit_for_bit(dims):
-    bras, kets = _random_starts(dims, np.random.SeedSequence(7).spawn(20))
-    for start, child in enumerate(np.random.SeedSequence(7).spawn(20)):
-        rng = np.random.default_rng(child)
-        want = per_factor_draws(dims, rng) + per_factor_draws(dims, rng)
-        got = [f[start] for f in bras + kets]
-        for a, b in zip(want, got):
-            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    """Operators with no nonzero entry get only random starts: operator k's
+    are, bit for bit, the draws of a generator seeded by seeds[k] alone,
+    for integer seeds and SeedSequence children alike. Every random factor
+    has unit norm to within 1e-15."""
+    total = int(np.prod(dims))
+    seeds = [7, *np.random.SeedSequence(7).spawn(2)]
+    bras, kets, counts = _stacked_starts(
+        np.zeros((len(seeds), total, total), dtype=complex), dims, 20, seeds
+    )
+    assert counts.tolist() == [20] * len(seeds)
+    want = [per_factor_draws(dims, 20, s) for s in seeds]
+    for k, got in enumerate(bras + kets):
+        ref = np.concatenate([w[k] for w in want])
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert np.abs(np.linalg.norm(got, axis=1) - 1.0).max() <= 1e-15
 
 
 def per_operator_starts(x, dims, restarts, seed):
-    """The starts of one operator as earlier versions built them, one start
-    vector at a time: (bras, kets) as lists of (starts, dim) arrays."""
+    """The starts of one operator, built alone: its basis products, then
+    its random starts (`per_factor_draws`); (bras, kets) as lists of
+    (starts, dim) arrays."""
     magnitudes = np.abs(x).ravel()
     top = np.argsort(magnitudes)[::-1][:DETERMINISTIC_STARTS]
     top = top[magnitudes[top] > 0.0]
-    drawn = []
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        drawn.append(per_factor_draws(dims, rng) + per_factor_draws(dims, rng))
+    drawn = per_factor_draws(dims, restarts, seed)
     sides = []
     for side, flat in enumerate(np.divmod(top, x.shape[0])):
         basis = np.unravel_index(flat, dims)
         sides.append([
-            np.array([np.eye(dim, dtype=complex)[i] for i in basis[k]]
-                     + [d[side * len(dims) + k] for d in drawn]).reshape(-1, dim)
+            np.concatenate([np.eye(dim, dtype=complex)[basis[k]], drawn[side * len(dims) + k]])
             for k, dim in enumerate(dims)
         ])
     return sides
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=st.lists(st.integers(2, 3), min_size=2, max_size=3),
+    r=st.integers(0, 7),
+    more=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fewer_restarts_are_the_first_starts_of_more(dims, r, more, seed):
+    """With r < R restarts, the starts of an operator are, bit for bit, the
+    first rows of its starts with R, and the best overlap of R starts is
+    at least that of r starts, to 1e-13."""
+    big = r + more
+    x = cross_operator(random_spec(2, len(dims), dims, seed=seed), 0, 1)
+    few_bras, few_kets, (n,) = _stacked_starts(x[None], tuple(dims), r, [seed])
+    many_bras, many_kets, _ = _stacked_starts(x[None], tuple(dims), big, [seed])
+    for few, many in zip(few_bras + few_kets, many_bras + many_kets):
+        assert np.array_equal(few.view(np.int64), many[:n].view(np.int64))
+    few_eta = eta_optimize(x, dims, restarts=r, seed=seed).eta
+    assert eta_optimize(x, dims, restarts=big, seed=seed).eta >= few_eta - 1e-13
 
 
 def _sparse(entries, size):
