@@ -4,7 +4,8 @@ Every start of every operator advances at once: the factors of all starts
 are (starts, dim) arrays, and the starts of one operator are contiguous
 rows. The products with the operators are batched matmuls per number of
 live starts that operators have (`block_grid`, `block_product`); no row is
-padded and no operator is copied per row.
+padded and no operator is copied per row. Each start mixes its sweeps
+(guarded Anderson mixing, see `ascend`) with arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ def row_kron(factors: list[np.ndarray]) -> np.ndarray:
 
 def fit(
     t: np.ndarray, dims: tuple[int, ...], factors: list[np.ndarray], conjs: list[np.ndarray]
-) -> None:
+) -> np.ndarray:
     """Product factors that raise |<f_1 (x) ... (x) f_N | t_b>| for every row b.
 
     Each factor in turn becomes the normalized contraction of t with the
-    conjugates of all the others, in place in `factors` and `conjs`; the
-    overlap with the new factors is real and nonnegative. The norm is the
-    one `np.linalg.norm(axis=1)` computes, without its wrapper.
+    conjugates of all the others, in place in `factors` and `conjs`. The
+    overlap with the new factors is real and nonnegative: it is the norm
+    of the last contraction, which is returned per row.
     """
     n = len(dims)
     t = t.reshape((t.shape[0],) + dims)
@@ -40,9 +41,11 @@ def fit(
             if m != k:
                 operands += [conjs[m], [0, m + 1]]
         c = np.einsum(*operands, [0, k + 1])
-        nrm = np.sqrt(np.add.reduce((c.conj() * c).real, axis=1, keepdims=True))
+        parts = c.view(float)  # real and imaginary parts, side by side
+        nrm = np.sqrt(np.einsum("bi,bi->b", parts, parts))[:, None]
         np.divide(c, nrm, out=factors[k], where=nrm > 0.0)
         np.conjugate(factors[k], out=conjs[k])
+    return nrm[:, 0]
 
 
 def block_grid(block: np.ndarray, counts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -80,6 +83,11 @@ def block_product(
     return out
 
 
+def _columns(a: np.ndarray, cuts: np.ndarray) -> list[np.ndarray]:
+    """The factor views of a (starts, sum of dims) array: columns cuts[k]:cuts[k+1]."""
+    return [a[:, lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
 def ascend(
     xs: np.ndarray,
     who: np.ndarray,
@@ -89,53 +97,108 @@ def ascend(
     max_iters: int,
     conv_tol: float,
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """Alternating ascent of every start of every operator at once.
+    """Alternating ascent of every start of every operator at once, with
+    guarded Anderson mixing of the sweep map.
 
     Factors are (starts, dim) arrays; row b is a start for operator
     xs[who[b]], and `who` is non-decreasing, so the starts of one operator
-    are contiguous. A sweep fits all bra factors, then all ket factors. A
-    start stops once a sweep changes its |overlap| by at most `conv_tol`
-    (converged) or after `max_iters` sweeps.
+    are contiguous. A sweep F fits all bra factors, then all ket factors;
+    a start's factors, side by side, form its point x. Per start:
 
-    The live starts sweep in compact arrays (factors, their conjugates, ket
-    products), written back and compacted only when some start stops or at
-    the last sweep. The products group the operators by their number of
-    live starts (`block_grid`), so a finished operator costs nothing.
+    * the sweep y = F(x) is accepted when |overlap(y)| is at least `best`,
+      the start's best accepted value (at first, that of the start itself);
+    * an accepted start moves on to y - gamma (dx + dr), the depth-one
+      Anderson step (Walker & Ni 2011): dx is the last step of x, dr the
+      change of the residual r = y - x since the last sweep, and gamma =
+      Re<dr, r> / |dr|^2. gamma is 0 on the first sweep after a start or a
+      rejection, and unless Re<dx, dr> < 0: only a fixed point that
+      attracts plain ascent is sought, not a saddle point of it;
+    * a rejected start goes back to its best accepted factors with no
+      history, and a plain sweep from there cannot lower its overlap.
+
+    A start stops once a sweep's |overlap| is within `conv_tol` of `best`
+    (converged) or after `max_iters` sweeps, and reports its best accepted
+    factors. Every start's arithmetic is its own, row by row, so it
+    follows the path it would follow alone.
+
+    The live starts sweep in compact arrays (points, their conjugates, the
+    mixing history), written back and compacted only when some start stops
+    or at the last sweep. The products group the operators by their number
+    of live starts (`block_grid`), so a finished operator costs nothing.
 
     Updates the factors in place and returns them with the complex overlap,
     sweep count and convergence flag of every start.
     """
+    n = len(dims)
+    cuts = np.cumsum((0,) + dims + dims)
     grid = block_grid(who, np.bincount(who, minlength=len(xs)))
-    g_rows = row_kron(kets)
-    value = np.einsum("bc,bc->b", block_product(row_kron(bras).conj(), xs, grid), g_rows)
+    w = block_product(row_kron([a.conj() for a in bras]), xs, grid)
+    value = np.einsum("bc,bc->b", w, row_kron(kets))
+    del w
     sweeps = np.full(value.size, max_iters)  # until a start converges
     converged = np.zeros(value.size, dtype=bool)
     live = np.arange(who.size)
-    f, g = list(bras), list(kets)  # the live rows; at first, all of them
-    f_conj, g_conj = [b.conj() for b in f], [k.conj() for k in g]
-    old = value
+    factors, xs_t = bras + kets, xs.transpose(0, 2, 1)
+    # Per live start: the point z that the sweep fits in place, and its
+    # conjugate; the point x it swept from; the best accepted point; and
+    # `hist`, whose slots hold dr and dx during the sweep, and r and x of
+    # the sweep before between sweeps (no history: x_prev = x).
+    x = np.concatenate(factors, axis=1)
+    z, z_conj, best_y, hist = x.copy(), x.conj(), x.copy(), np.stack([x, x], axis=1)
+    best_value, best = value.copy(), np.abs(value)
+    f, f_conj = _columns(z, cuts), _columns(z_conj, cuts)
+    dr, dx = hist[:, 0], hist[:, 1]
     for sweep in range(1, max_iters + 1):
-        fit(block_product(g_rows, xs.transpose(0, 2, 1), grid), dims, f, f_conj)
-        w_conj = block_product(row_kron(f).conj(), xs, grid)  # row b is (x^dagger f_b)^*
-        fit(w_conj.conj(), dims, g, g_conj)
-        g_rows = row_kron(g)
-        new = np.einsum("bc,bc->b", w_conj, g_rows)
-        del w_conj  # one row per live start; free it before the next products
-        done = np.abs(np.abs(new) - np.abs(old)) <= conv_tol
-        old = new
-        if not done.any() and sweep < max_iters:
+        t = block_product(row_kron(f[n:]), xs_t, grid)  # row b is (x g_b)^T
+        fit(t, dims, f[:n], f_conj[:n])
+        del t  # one row per live start, like w; free it before the next product
+        w = block_product(row_kron(f_conj[:n]), xs, grid)  # row b is (x^dagger f_b)^*
+        size = fit(np.conjugate(w, out=w), dims, f[n:], f_conj[n:])  # |overlap(y)|
+        del w
+        done = np.abs(size - best) <= conv_tol
+        up = size >= best  # accepted; false for NaN
+        r = z - x
+        np.subtract(r, dr, out=dr)  # dr held r of the sweep before
+        np.subtract(x, dx, out=dx)  # dx held x of the sweep before
+        den, secant = np.einsum("bml,bl->mb", hist.view(float), dr.view(float))
+        num = np.einsum("bl,bl->b", r.view(float), dr.view(float))
+        step = (secant < 0.0) & (den > 0.0)  # never with no history, where dx = 0
+        np.copyto(best_y, z, where=up[:, None])
+        np.copyto(best_value, size, where=up)
+        np.copyto(best, size, where=up)
+        stepped = np.count_nonzero(step) > 0
+        if stepped:  # z -= gamma (dx + dr), no change where gamma = 0
+            gamma = np.divide(num, den, out=np.zeros_like(num), where=step)
+            z -= np.multiply(np.add(dx, dr, out=dx), gamma[:, None], out=dx)
+        np.copyto(dr, r)  # the history of the next sweep
+        np.copyto(dx, x)
+        del r
+        rejected = np.count_nonzero(up) < up.size
+        if rejected:  # back to the best accepted point, with no history
+            back = ~up[:, None]
+            np.copyto(z, best_y, where=back)
+            np.copyto(dx, z, where=back)
+        if stepped or rejected:  # elsewhere z_conj holds the conjugate of y
+            np.conjugate(z, out=z_conj)
+        np.copyto(x, z)
+        if not np.count_nonzero(done) and sweep < max_iters:
             continue
-        value[live] = new
-        for k in range(len(dims)):
-            bras[k][live], kets[k][live] = f[k], g[k]
+        value[live] = best_value
+        for out, a in zip(factors, _columns(best_y, cuts)):
+            out[live] = a
         converged[live[done]] = True
         sweeps[live[done]] = sweep
         keep = ~done
         live = live[keep]
         if not live.size or sweep == max_iters:
             break
-        f, g = [a[keep] for a in f], [a[keep] for a in g]
-        f_conj, g_conj = [a[keep] for a in f_conj], [a[keep] for a in g_conj]
-        g_rows, old = g_rows[keep], old[keep]
+        z = z[keep]  # one array at a time, which bounds the peak memory
+        z_conj = z_conj[keep]
+        x = x[keep]
+        best_y = best_y[keep]
+        hist = hist[keep]
+        best_value, best = best_value[keep], best[keep]
+        f, f_conj = _columns(z, cuts), _columns(z_conj, cuts)
+        dr, dx = hist[:, 0], hist[:, 1]
         grid = block_grid(who[live], np.bincount(who[live], minlength=len(xs)))
     return bras, kets, value, sweeps, converged

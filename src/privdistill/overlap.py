@@ -7,7 +7,8 @@ The quantity of interest is
     eta = max |<f_1 (x) ... (x) f_N| X |g_1 (x) ... (x) g_N>|
 
 over unit vectors f_k, g_k on the per-party shield factors. `eta_optimize`
-runs multi-start alternating ascent with all starts advancing as one batch,
+runs multi-start alternating ascent, with guarded Anderson mixing of the
+sweeps (`ascent.ascend`) and all starts advancing as one batch,
 and `optimize_pairs` runs the starts of every key pair of a spec as one
 batch in the same engine; `brute_force_eta` is a deliberately plain
 one-start-at-a-time re-implementation used to cross-check them.
@@ -38,8 +39,9 @@ class OverlapResult:
 
     Every field but `start_etas` describes the start with the largest
     overlap: `converged` says whether that start met the convergence test
-    within the sweep limit, and `sweeps` is the number of sweeps it ran.
-    `start_etas` holds the final overlap of every start, in start order.
+    within the sweep limit, and `sweeps` is the number of sweeps it ran,
+    accepted or not. `start_etas` holds the reported overlap of every
+    start, its best accepted one, in start order.
     """
 
     eta: float
@@ -138,12 +140,12 @@ def _check_settings(restarts: int, max_iters: int, conv_tol: float) -> None:
 
 
 def _contract_except(tensor: np.ndarray, vectors: list[np.ndarray], skip: int) -> np.ndarray:
-    """Contract every axis but `skip` against the matching vector."""
-    t = tensor
-    for axis in reversed(range(len(vectors))):
+    """Contract every axis but `skip` against the matching vector, in one `einsum`."""
+    operands: list = [tensor, list(range(len(vectors)))]
+    for axis, v in enumerate(vectors):
         if axis != skip:
-            t = np.tensordot(t, vectors[axis], axes=([axis], [0]))
-    return t
+            operands += [v, [axis]]
+    return np.einsum(*operands, [skip])
 
 
 def _overlaps(
@@ -189,10 +191,11 @@ def eta_optimize(
 ) -> OverlapResult:
     """Maximize the product overlap of `x` over the factors in `dims`.
 
-    Runs alternating ascent from the largest-magnitude entries of `x` (so the
-    result can never fall below the best single entry) and from `restarts`
-    random product starts, all starts advancing together as one batch. The
-    result describes the start with the largest overlap (see OverlapResult).
+    Runs alternating ascent with mixed sweeps (`ascent.ascend`) from the
+    largest-magnitude entries of `x` (so the result can never fall below
+    the best single entry) and from `restarts` random product starts, all
+    starts advancing together as one batch. The result describes the start
+    with the largest overlap (see OverlapResult).
     """
     _check_settings(restarts, max_iters, conv_tol)
     dims = tuple(int(v) for v in dims)
@@ -258,15 +261,23 @@ def optimize_pairs(
     """`optimize_pair` for every key pair in `pairs`, in one batched ascent.
 
     Pair k gets the result of `optimize_pair(spec, i, j, seed=child)`,
-    where child is the k-th child of SeedSequence(seed): bit for bit if the
-    BLAS gives equal bits for equal calls (see `ascent.block_product`).
+    where child is the k-th child that SeedSequence(seed).spawn would give
+    next: bit for bit if the BLAS gives equal bits for equal calls (see
+    `ascent.block_product`). A SeedSequence passed in is not advanced, so
+    every call with it gives the same result.
     """
     _check_settings(restarts, max_iters, conv_tol)
     if not pairs:
         return []
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    children = seed.spawn(len(pairs))
+    first = seed.n_children_spawned
+    children = [
+        np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key + (first + k,), pool_size=seed.pool_size
+        )
+        for k in range(len(pairs))
+    ]
     return _optimize(spec, pairs, children, restarts, max_iters, conv_tol)
 
 
@@ -279,10 +290,10 @@ def brute_force_eta(
     """Plain multi-start estimate of the product overlap, for cross-checking.
 
     Each start runs alone, its factors are updated one at a time by plain
-    `tensordot` contractions, and it runs a fixed number of sweeps with no
-    convergence test. The starts are drawn here, not by the engine's start
-    code: one generator from `seed`, one `normal` call per part of each
-    factor. Only small operators are accepted.
+    contractions (one `einsum` each), and it runs a fixed number of sweeps
+    with no convergence test or mixing. The starts are drawn here, not by
+    the engine's start code: one generator from `seed`, one `normal` call
+    per part of each factor. Only small operators are accepted.
     """
     dims = tuple(int(v) for v in dims)
     total = int(np.prod(dims, dtype=np.int64))
@@ -294,6 +305,7 @@ def brute_force_eta(
         raise ValueError(f"operator shape {x.shape} does not match dims {dims}")
     best = 0.0
     rng = np.random.default_rng(seed)
+    x_dagger = x.conj().T
     for _ in range(samples):
         bras, kets = [], []
         for vectors in (bras, kets):
@@ -307,9 +319,9 @@ def brute_force_eta(
                 nrm = np.linalg.norm(t)
                 if nrm > 0.0:
                     bras[k] = t / nrm
-            w = (x.conj().T @ kron_all(bras)).reshape(dims)
+            w_conj = (x_dagger @ kron_all(bras)).reshape(dims).conj()
             for k in range(len(dims)):
-                t = _contract_except(w.conj(), kets, k)
+                t = _contract_except(w_conj, kets, k)
                 nrm = np.linalg.norm(t)
                 if nrm > 0.0:
                     kets[k] = t.conj() / nrm

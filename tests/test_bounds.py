@@ -13,6 +13,7 @@ from privdistill.linalg import layout, partial_trace, von_neumann_entropy
 from privdistill.private_states import (
     PrivateStateSpec,
     build_private_state,
+    depolarized_spec,
     eigenvectors_of_pdit,
     random_spec,
 )
@@ -136,6 +137,17 @@ def test_ed_lower_bound_determinism():
     a = ed_lower_bound(spec, restarts=8, seed=5)
     b = ed_lower_bound(spec, restarts=8, seed=5)
     assert a == b
+
+
+def test_slow_pair_converges_within_the_default_sweeps():
+    """The one pair of this depolarized spec converges slowly: plain ascent
+    needed about 1000 sweeps, so with the default 200 it was left out of
+    the best-pair choice and the bound read 0. Its filter achieves about
+    0.125545 (plain ascent run to 5000 sweeps)."""
+    report = ed_lower_bound(depolarized_spec(random_spec(2, 2, (2, 4), seed=0), 0.9), seed=0)
+    assert report.pairs[0].converged
+    assert report.best_pair == (0, 1)
+    assert report.best_verified_rate >= 0.1255
 
 
 def test_ed_lower_bound_state_keyword_is_checked_not_read():
