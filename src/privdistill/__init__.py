@@ -17,7 +17,7 @@ from .filtering import (
     PredictedOutcome,
     apply_filter,
     build_filters,
-    filter_outcome,
+    filter_outcomes,
     predict_outcome,
 )
 from .linalg import (

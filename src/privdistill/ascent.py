@@ -32,15 +32,21 @@ def fit(
     conjugates of all the others, in place in `factors` and `conjs`. The
     overlap with the new factors is real and nonnegative: it is the norm
     of the last contraction, which is returned per row.
+
+    Each `einsum` contracts one axis, the last first, so every entry sums
+    its terms in index order however many rows there are. One `einsum`
+    over several axes can sum in another order when its output has a
+    single entry (one row, a factor of dim 1), and a start would then not
+    follow the path it follows in a larger batch.
     """
     n = len(dims)
     t = t.reshape((t.shape[0],) + dims)
     for k in range(n):
-        operands: list = [t, list(range(n + 1))]
-        for m in range(n):
+        c, axes = t, list(range(n + 1))
+        for m in reversed(range(n)):
             if m != k:
-                operands += [conjs[m], [0, m + 1]]
-        c = np.einsum(*operands, [0, k + 1])
+                kept = [a for a in axes if a != m + 1]
+                c, axes = np.einsum(c, axes, conjs[m], [0, m + 1], kept), kept
         parts = c.view(float)  # real and imaginary parts, side by side
         nrm = np.sqrt(np.einsum("bi,bi->b", parts, parts))[:, None]
         np.divide(c, nrm, out=factors[k], where=nrm > 0.0)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import build_filters, filter_outcomes, predict_outcome
+from .filtering import FilterOutcome, build_filters, filter_outcomes, predict_outcome
 from .linalg import CONV_TOL, von_neumann_entropy
-from .overlap import optimize_pairs
+from .overlap import PairOverlap, optimize_pairs
 from .private_states import PrivateState, PrivateStateSpec, eigenvectors_of_pdit
 
 P_TOL = 1e-12
@@ -85,6 +85,43 @@ class PairBound:
     converged: bool
 
 
+def pair_bounds(
+    spec: PrivateStateSpec,
+    pairs: list[tuple[int, int]],
+    results: list[PairOverlap],
+    variant: str | None = None,
+) -> tuple[list[PairBound], list[FilterOutcome]]:
+    """The record of each key pair (i, j) from its overlap result, and the
+    simulated outcome of its filters: one stack for every pair
+    (`filter_outcomes`). The filter variant follows each pair's branch
+    weights unless `variant` forces one (see `build_filters`)."""
+    filter_sets = [build_filters(spec, i, j, r, variant) for (i, j), r in zip(pairs, results)]
+    outcomes = filter_outcomes(spec, filter_sets)
+    bounds = []
+    for result, filters, outcome in zip(results, filter_sets, outcomes):
+        pred = predict_outcome(result, d=spec.d)
+        bounds.append(
+            PairBound(
+                i=filters.i,
+                j=filters.j,
+                eta=result.eta,
+                a1=result.a1,
+                a2=result.a2,
+                theta=result.theta,
+                variant=filters.variant,
+                success_pred=pred.success,
+                success_sim=outcome.success,
+                p_pred=pred.p,
+                p_sim=outcome.p,
+                structure_residual=outcome.residual,
+                paper_rate=max(result.a1, result.a2) * hashing_rate(pred.p),
+                verified_rate=outcome.success * hashing_rate(outcome.p),
+                converged=result.converged,
+            )
+        )
+    return bounds, outcomes
+
+
 @dataclass(frozen=True)
 class BoundReport:
     d: int
@@ -110,7 +147,7 @@ def ed_lower_bound(
 
     One stacked pass over all key pairs i < j: one ascent runs the starts
     of every pair (`optimize_pairs`), and one stack simulates every pair's
-    filters from the spec (`filter_outcomes`, no dense state). Each pair
+    filters from the spec (`pair_bounds`, no dense state). Each pair
     records its verified and paper rates (see PairBound). Pairs whose
     ascent never converged are kept but excluded from the best-pair choice.
 
@@ -125,29 +162,7 @@ def ed_lower_bound(
         restarts=restarts, max_iters=max_iters, conv_tol=conv_tol, seed=seed,
     )
 
-    filter_sets = [build_filters(spec, i, j, r) for (i, j), r in zip(pair_list, results)]
-    bounds: list[PairBound] = []
-    for result, filters, outcome in zip(results, filter_sets, filter_outcomes(spec, filter_sets)):
-        pred = predict_outcome(result, d=spec.d)
-        bounds.append(
-            PairBound(
-                i=filters.i,
-                j=filters.j,
-                eta=result.eta,
-                a1=result.a1,
-                a2=result.a2,
-                theta=result.theta,
-                variant=filters.variant,
-                success_pred=pred.success,
-                success_sim=outcome.success,
-                p_pred=pred.p,
-                p_sim=outcome.p,
-                structure_residual=outcome.residual,
-                paper_rate=max(result.a1, result.a2) * hashing_rate(pred.p),
-                verified_rate=outcome.success * hashing_rate(outcome.p),
-                converged=result.converged,
-            )
-        )
+    bounds, _ = pair_bounds(spec, pair_list, results)
 
     eligible = [b for b in bounds if b.converged]
     if eligible:

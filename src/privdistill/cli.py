@@ -23,8 +23,7 @@ import functools
 import os
 import sys
 
-from .bounds import BoundReport, ed_lower_bound, ef_certificate
-from .filtering import build_filters, filter_outcome, predict_outcome
+from .bounds import BoundReport, ed_lower_bound, ef_certificate, pair_bounds
 from .overlap import optimize_pair
 from .private_states import (
     build_private_state,
@@ -109,8 +108,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pair_report(args: argparse.Namespace):
-    """Spec, overlap result and the start of the report for one key pair."""
+def cmd_eta(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     result = optimize_pair(spec, args.i, args.j, **_optimizer_config(args))
     report = {
@@ -122,30 +120,19 @@ def _pair_report(args: argparse.Namespace):
         "a1": result.a1,
         "a2": result.a2,
         "converged": result.converged,
+        "sweeps": result.sweeps,
     }
-    return spec, result, report
-
-
-def cmd_eta(args: argparse.Namespace) -> int:
-    _, result, report = _pair_report(args)
-    report["sweeps"] = result.sweeps
     write_json(report, args.out)
     return 0
 
 
 def cmd_distill(args: argparse.Namespace) -> int:
-    spec, result, report = _pair_report(args)
-    filters = build_filters(spec, args.i, args.j, result, variant=args.variant)
-    outcome = filter_outcome(spec, filters)
-    pred = predict_outcome(result, d=spec.d)
-    report.update(
-        variant=filters.variant,
-        success_pred=pred.success,
-        success_sim=outcome.success,
-        p_pred=pred.p,
-        p_sim=outcome.p,
-        structure_residual=outcome.residual,
-    )
+    """The pair's record, as `bound` reports it, and the settings."""
+    spec = _load_spec(args.spec)
+    result = optimize_pair(spec, args.i, args.j, **_optimizer_config(args))
+    (bound,), (outcome,) = pair_bounds(spec, [(args.i, args.j)], [result], args.variant)
+    report = report_to_json(bound)
+    report["config"] = _optimizer_config(args)
     write_json(report, args.out)
     if args.post_out:
         post = outcome.state

@@ -116,11 +116,6 @@ def apply_filter(state: PrivateState, filters: FilterSet) -> FilterOutcome:
     return _outcomes((full @ state.rho.matrix @ full.conj().T)[None], n)[0]
 
 
-def filter_outcome(spec: PrivateStateSpec, filters: FilterSet) -> FilterOutcome:
-    """`apply_filter`'s outcome from the spec alone: one-element `filter_outcomes`."""
-    return filter_outcomes(spec, [filters])[0]
-
-
 def filter_outcomes(
     spec: PrivateStateSpec, filter_sets: list[FilterSet]
 ) -> list[FilterOutcome]:

@@ -10,8 +10,9 @@ over unit vectors f_k, g_k on the per-party shield factors. `eta_optimize`
 runs multi-start alternating ascent, with guarded Anderson mixing of the
 sweeps (`ascent.ascend`) and all starts advancing as one batch,
 and `optimize_pairs` runs the starts of every key pair of a spec as one
-batch in the same engine; `brute_force_eta` is a deliberately plain
-one-start-at-a-time re-implementation used to cross-check them.
+batch in the same engine, each pair seeded by its key values;
+`brute_force_eta` is a deliberately plain one-start-at-a-time
+re-implementation used to cross-check them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import ascent
 from .ascent import ascend, row_kron
-from .linalg import CONV_TOL, kron_all
+from .linalg import CONV_TOL, as_complex, kron_all
 from .private_states import PrivateStateSpec
 
 CROSS_NORM_FLOOR = 1e-14
@@ -195,29 +196,59 @@ def eta_optimize(
     largest-magnitude entries of `x` (so the result can never fall below
     the best single entry) and from `restarts` random product starts, all
     starts advancing together as one batch. The result describes the start
-    with the largest overlap (see OverlapResult).
+    with the largest overlap (see OverlapResult). A non-finite entry, and
+    an operator with no nonzero entry and no restarts (no start at all),
+    are refused.
     """
     _check_settings(restarts, max_iters, conv_tol)
+    x = as_complex(x)
     dims = tuple(int(v) for v in dims)
     total = int(np.prod(dims, dtype=np.int64))
     if x.shape != (total, total):
         raise ValueError(f"operator shape {x.shape} does not match dims {dims}")
+    if restarts == 0 and not x.any():
+        raise ValueError("operator has no nonzero entry and restarts is 0: no start to run")
     return _overlaps(x[None], dims, restarts, [seed], max_iters, conv_tol)[0][0]
 
 
-def _optimize(
+def optimize_pair(
+    spec: PrivateStateSpec,
+    i: int,
+    j: int,
+    restarts: int = 32,
+    max_iters: int = 200,
+    conv_tol: float = CONV_TOL,
+    seed: int = 0,
+) -> PairOverlap:
+    """Cross operator, overlap maximization, and branch weights of one
+    key pair: `optimize_pairs` of the one pair (i, j)."""
+    return optimize_pairs(spec, [(i, j)], restarts, max_iters, conv_tol, seed)[0]
+
+
+def optimize_pairs(
     spec: PrivateStateSpec,
     pairs: list[tuple[int, int]],
-    seeds: list,
-    restarts: int,
-    max_iters: int,
-    conv_tol: float,
+    restarts: int = 32,
+    max_iters: int = 200,
+    conv_tol: float = CONV_TOL,
+    seed: int = 0,
 ) -> list[PairOverlap]:
-    """One ascent over the starts of every pair; pair k draws from seeds[k].
-    The branch weights <v|U_a rho U_a^dagger|v> (a1: key i, bras; a2: key j,
-    kets) are one batched product per key value, with the bits that
-    `v.conj() @ op @ v` gives each row alone."""
+    """Cross operator, overlap maximization, and branch weights of every
+    key pair in `pairs`, in one batched ascent.
+
+    Pair (i, j) draws its starts from SeedSequence(seed, spawn_key=(i, j)),
+    so its result is a function of (spec, seed, i, j) and the settings
+    alone, whichever list holds the pair: bit for bit if the BLAS gives
+    equal bits for equal calls (see `ascent.block_product`). The branch
+    weights <v|U_a rho U_a^dagger|v> (a1: key i, bras; a2: key j, kets)
+    are one batched product per key value, with the bits that
+    `v.conj() @ op @ v` gives each row alone.
+    """
+    _check_settings(restarts, max_iters, conv_tol)
+    if not pairs:
+        return []
     xs = _cross_operators(spec, pairs)
+    seeds = [np.random.SeedSequence(seed, spawn_key=(i, j)) for i, j in pairs]
     results, bras, kets = _overlaps(
         xs, tuple(spec.shield_dims), restarts, seeds, max_iters, conv_tol
     )
@@ -234,51 +265,6 @@ def _optimize(
         PairOverlap(**vars(r), a1=float(w1), a2=float(w2))
         for r, w1, w2 in zip(results, a1, a2)
     ]
-
-
-def optimize_pair(
-    spec: PrivateStateSpec,
-    i: int,
-    j: int,
-    restarts: int = 32,
-    max_iters: int = 200,
-    conv_tol: float = CONV_TOL,
-    seed: int | np.random.SeedSequence = 0,
-) -> PairOverlap:
-    """Cross operator, overlap maximization, and branch weights in one call."""
-    _check_settings(restarts, max_iters, conv_tol)
-    return _optimize(spec, [(i, j)], [seed], restarts, max_iters, conv_tol)[0]
-
-
-def optimize_pairs(
-    spec: PrivateStateSpec,
-    pairs: list[tuple[int, int]],
-    restarts: int = 32,
-    max_iters: int = 200,
-    conv_tol: float = CONV_TOL,
-    seed: int | np.random.SeedSequence = 0,
-) -> list[PairOverlap]:
-    """`optimize_pair` for every key pair in `pairs`, in one batched ascent.
-
-    Pair k gets the result of `optimize_pair(spec, i, j, seed=child)`,
-    where child is the k-th child that SeedSequence(seed).spawn would give
-    next: bit for bit if the BLAS gives equal bits for equal calls (see
-    `ascent.block_product`). A SeedSequence passed in is not advanced, so
-    every call with it gives the same result.
-    """
-    _check_settings(restarts, max_iters, conv_tol)
-    if not pairs:
-        return []
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    first = seed.n_children_spawned
-    children = [
-        np.random.SeedSequence(
-            seed.entropy, spawn_key=seed.spawn_key + (first + k,), pool_size=seed.pool_size
-        )
-        for k in range(len(pairs))
-    ]
-    return _optimize(spec, pairs, children, restarts, max_iters, conv_tol)
 
 
 def brute_force_eta(

@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import BITWISE_BLAS
 from privdistill.bounds import (
     CERT_BLOCK,
     binary_entropy,
@@ -8,8 +13,10 @@ from privdistill.bounds import (
     ef_certificate,
     hashing_rate,
     key_rate,
+    pair_bounds,
 )
 from privdistill.linalg import layout, partial_trace, von_neumann_entropy
+from privdistill.overlap import optimize_pair
 from privdistill.private_states import (
     PrivateStateSpec,
     build_private_state,
@@ -148,6 +155,35 @@ def test_slow_pair_converges_within_the_default_sweeps():
     assert report.pairs[0].converged
     assert report.best_pair == (0, 1)
     assert report.best_verified_rate >= 0.1255
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    restarts=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_pair_of_the_bound_is_its_one_pair_record(d, dims, restarts, seed):
+    """Each PairBound of `ed_lower_bound` is the record `pair_bounds` builds
+    for that pair alone from `optimize_pair` with the same seed: equal on
+    a BLAS where that was checked (`BITWISE_BLAS`), and otherwise with
+    equal key values, variant and flag, `eta` to 1e-13 and every other
+    number to 1e-12."""
+    spec = random_spec(d, len(dims), tuple(dims), seed=seed)
+    report = ed_lower_bound(spec, restarts=restarts, seed=seed)
+    for bound in report.pairs:
+        pair = (bound.i, bound.j)
+        alone = optimize_pair(spec, *pair, restarts=restarts, seed=seed)
+        (record,), _ = pair_bounds(spec, [pair], [alone])
+        if BITWISE_BLAS:
+            assert bound == record
+        got, want = dataclasses.asdict(bound), dataclasses.asdict(record)
+        for name in ("i", "j", "variant", "converged"):
+            assert got.pop(name) == want.pop(name)
+        assert abs(got.pop("eta") - want.pop("eta")) <= 1e-13
+        for name, value in got.items():
+            assert abs(value - want[name]) <= 1e-12, name
 
 
 def test_ed_lower_bound_state_keyword_is_checked_not_read():

@@ -3,9 +3,10 @@ import sys
 
 import pytest
 
+from conftest import BITWISE_BLAS
 from privdistill import cli
 from privdistill.cli import main
-from privdistill.filtering import build_filters, filter_outcome
+from privdistill.filtering import build_filters, filter_outcomes
 from privdistill.overlap import optimize_pair
 from privdistill.private_states import build_private_state, tensor_power_spec
 from privdistill.serialize import dumps, read_json, spec_from_json, state_to_json
@@ -52,7 +53,7 @@ def test_dense_state_files_are_the_indent_encoders_bytes(spec_path, tmp_path):
     spec = spec_from_json(read_json(spec_path))
     power_spec, _ = tensor_power_spec(spec, 2)
     result = optimize_pair(spec, 0, 1, restarts=6, seed=3)
-    post = filter_outcome(spec, build_filters(spec, 0, 1, result)).state
+    post = filter_outcomes(spec, [build_filters(spec, 0, 1, result)])[0].state
     runs = [
         (["build", "--spec", spec_path, "--out"], build_private_state(spec).rho),
         (["build", "--spec", spec_path, "--power", "2", "--out"],
@@ -142,6 +143,32 @@ def test_distill_command(spec_path, tmp_path):
     assert abs(obj["p_sim"] - obj["p_pred"]) < 1e-9
     assert obj["structure_residual"] < 1e-9
     assert read_json(str(post))["rows"] == 4
+
+
+def test_distill_reports_the_pair_as_bound_does(tmp_path):
+    """With the same seed and settings, the `distill` report of a pair, less
+    its `config`, is that pair's entry of the `bound` report: equal on a
+    BLAS where that was checked (`BITWISE_BLAS`), and otherwise with equal
+    key values, variant and flag and every number to 1e-12."""
+    spec = str(tmp_path / "spec.json")
+    assert main(["gen", "--d", "3", "--shield-dims", "2,2", "--seed", "5", "--out", spec]) == 0
+    settings = ["--spec", spec, "--restarts", "4", "--seed", "7"]
+    assert main(["bound", *settings, "--out", str(tmp_path / "bound.json")]) == 0
+    bound = read_json(str(tmp_path / "bound.json"))
+    for entry in bound["pairs"]:
+        out = tmp_path / f"distill{entry['i']}{entry['j']}.json"
+        assert main(["distill", *settings, "--i", str(entry["i"]), "--j", str(entry["j"]),
+                     "--out", str(out)]) == 0
+        report = read_json(str(out))
+        assert report.pop("config") == bound["config"]
+        assert report.keys() == entry.keys()
+        if BITWISE_BLAS:
+            assert report == entry
+        for name, value in entry.items():
+            if isinstance(value, float):
+                assert abs(report[name] - value) <= 1e-12, name
+            else:
+                assert report[name] == value, name
 
 
 def test_bound_command(spec_path, tmp_path):

@@ -500,20 +500,19 @@ def test_ascent_keeps_every_start_whenever_it_stops(d, dims, max_iters):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_optimize_pairs_matches_per_pair_runs(d, dims, rank_fraction, restarts, max_iters, seed):
-    """One ascent over all pairs gives each pair what `eta_optimize` gives
-    it alone, from the pair's child of the seed: the same overlap and the
-    same starts in the same order, to 1e-13. On a BLAS where that was
-    checked (`BITWISE_BLAS`), they are equal bit for bit, with the same
-    flags for the best start."""
+    """One ascent over all pairs gives each pair (i, j) what `eta_optimize`
+    gives its cross operator alone from SeedSequence(seed, spawn_key=(i, j)):
+    the same overlap and the same starts in the same order, to 1e-13. On a
+    BLAS where that was checked (`BITWISE_BLAS`), they are equal bit for
+    bit, with the same flags for the best start."""
     rank = max(1, round(rank_fraction * int(np.prod(dims))))
     spec = random_spec(d, len(dims), dims, seed=seed, shield_rank=rank)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     got = optimize_pairs(spec, pairs, restarts=restarts, max_iters=max_iters, seed=seed)
-    children = np.random.SeedSequence(seed).spawn(len(pairs))
-    for (i, j), res, child in zip(pairs, got, children):
+    for (i, j), res in zip(pairs, got):
         want = eta_optimize(
-            cross_operator(spec, i, j), dims,
-            restarts=restarts, max_iters=max_iters, seed=child,
+            cross_operator(spec, i, j), dims, restarts=restarts, max_iters=max_iters,
+            seed=np.random.SeedSequence(seed, spawn_key=(i, j)),
         )
         assert abs(res.eta - want.eta) <= 1e-13
         assert len(res.start_etas) == len(want.start_etas)
@@ -588,25 +587,60 @@ def test_mixed_ascent_keeps_up_with_plain_ascent(d, dims, rank_fraction, restart
     assert (np.maximum.reduceat(before, first) >= plain - 1e-9).all()
 
 
-def test_optimize_pairs_leaves_a_seed_sequence_as_it_was():
-    """The pair seeds are the children that `spawn` would give next, but
-    the SeedSequence passed in is not advanced: two calls with it give the
-    same result, and pair k gets child n + k of a sequence that has
-    already spawned n children."""
-    spec = random_spec(3, 2, (2, 3), seed=4)
-    pairs = [(0, 1), (1, 2)]
-    ss = np.random.SeedSequence(11)
-    ss.spawn(1)
-    first = optimize_pairs(spec, pairs, restarts=3, seed=ss)
-    again = optimize_pairs(spec, pairs, restarts=3, seed=ss)
-    assert ss.n_children_spawned == 1
-    children = np.random.SeedSequence(11).spawn(3)[1:]
-    for (i, j), a, b, child in zip(pairs, first, again, children):
-        assert (a.eta, a.start_etas) == (b.eta, b.start_etas)
-        alone = optimize_pair(spec, i, j, restarts=3, seed=child)
-        assert np.abs(np.subtract(a.start_etas, alone.start_etas)).max() <= 1e-13
-        if BITWISE_BLAS:
-            assert a.start_etas == alone.start_etas
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    restarts=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_a_pairs_result_does_not_depend_on_the_pair_list(d, dims, restarts, seed, data):
+    """Pair (i, j)'s result from `optimize_pairs` is the same in every list
+    that holds it (all pairs both ways round, a subset, its reverse) and is
+    `optimize_pair`'s: to 1e-13 (`eta`, start values, branch weights), and
+    bit for bit, with the same flags and factors, on a BLAS where that was
+    checked (`BITWISE_BLAS`)."""
+    spec = random_spec(d, len(dims), tuple(dims), seed=seed)
+    everything = [(i, j) for i in range(d) for j in range(d) if i != j]
+    subset = data.draw(st.lists(st.sampled_from(everything), min_size=1, unique=True))
+    runs = {}
+    for pairs in (everything, subset, subset[::-1]):
+        for pair, res in zip(pairs, optimize_pairs(spec, pairs, restarts=restarts, seed=seed)):
+            runs.setdefault(pair, []).append(res)
+    for (i, j), results in runs.items():
+        alone = optimize_pair(spec, i, j, restarts=restarts, seed=seed)
+        for res in results:
+            for name in ("eta", "a1", "a2"):
+                assert abs(getattr(res, name) - getattr(alone, name)) <= 1e-13
+            assert len(res.start_etas) == len(alone.start_etas)
+            assert np.abs(np.subtract(res.start_etas, alone.start_etas)).max() <= 1e-13
+            if BITWISE_BLAS:
+                assert (res.eta, res.a1, res.a2, res.theta) == (
+                    alone.eta, alone.a1, alone.a2, alone.theta
+                )
+                assert res.start_etas == alone.start_etas
+                assert (res.converged, res.sweeps) == (alone.converged, alone.sweeps)
+                for u, v in zip(res.bra_vectors + res.ket_vectors,
+                                alone.bra_vectors + alone.ket_vectors):
+                    assert np.array_equal(u, v)
+
+
+def test_eta_optimize_refuses_a_call_with_no_start():
+    """An operator with no nonzero entry has no basis start, so with no
+    restarts there is nothing to run."""
+    with pytest.raises(ValueError, match="no start"):
+        eta_optimize(np.zeros((4, 4), dtype=complex), (2, 2), restarts=0)
+    with pytest.warns(UserWarning):
+        assert eta_optimize(np.zeros((4, 4), dtype=complex), (2, 2), restarts=1).eta == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_eta_optimize_refuses_a_non_finite_operator(bad):
+    x = cross_operator(random_spec(2, 2, (2, 2), seed=0), 0, 1)
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        eta_optimize(x, (2, 2), restarts=2)
 
 
 @pytest.mark.parametrize("bad", [
