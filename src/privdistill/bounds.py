@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtering import FilterOutcome, build_filters, filter_outcomes, predict_outcome
-from .linalg import CONV_TOL, von_neumann_entropy
+from .linalg import CONV_TOL, MAX_ITERS, RESTARTS, von_neumann_entropy
 from .overlap import PairOverlap, optimize_pairs
 from .private_states import PrivateState, PrivateStateSpec, eigenvectors_of_pdit
 
 P_TOL = 1e-12
 CERT_TOL = 1e-9
+CERT_SAMPLES = 200
 CERT_BLOCK = 64  # certificate samples processed together; bounds memory
 
 
@@ -89,13 +90,11 @@ def pair_bounds(
     spec: PrivateStateSpec,
     pairs: list[tuple[int, int]],
     results: list[PairOverlap],
-    variant: str | None = None,
 ) -> tuple[list[PairBound], list[FilterOutcome]]:
     """The record of each key pair (i, j) from its overlap result, and the
     simulated outcome of its filters: one stack for every pair
-    (`filter_outcomes`). The filter variant follows each pair's branch
-    weights unless `variant` forces one (see `build_filters`)."""
-    filter_sets = [build_filters(spec, i, j, r, variant) for (i, j), r in zip(pairs, results)]
+    (`filter_outcomes`)."""
+    filter_sets = [build_filters(spec, i, j, r) for (i, j), r in zip(pairs, results)]
     outcomes = filter_outcomes(spec, filter_sets)
     bounds = []
     for result, filters, outcome in zip(results, filter_sets, outcomes):
@@ -137,8 +136,8 @@ class BoundReport:
 
 def ed_lower_bound(
     spec: PrivateStateSpec,
-    restarts: int = 32,
-    max_iters: int = 200,
+    restarts: int = RESTARTS,
+    max_iters: int = MAX_ITERS,
     conv_tol: float = CONV_TOL,
     seed: int = 0,
     state: PrivateState | None = None,
@@ -201,7 +200,7 @@ class EfCertificate:
 
 def ef_certificate(
     spec: PrivateStateSpec,
-    samples: int = 200,
+    samples: int = CERT_SAMPLES,
     seed: int = 0,
     tol: float = CERT_TOL,
 ) -> EfCertificate:

@@ -12,8 +12,8 @@ Subcommands:
 
 Optimizer defaults can be overridden with PRIVDISTILL_SEED,
 PRIVDISTILL_RESTARTS, PRIVDISTILL_MAX_ITERS, PRIVDISTILL_CONV_TOL and
-PRIVDISTILL_SAMPLES; explicit flags win over the environment. All reports
-are deterministic for a fixed seed.
+PRIVDISTILL_SAMPLES; explicit flags win over the environment, which wins
+over the library defaults. All reports are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ import functools
 import os
 import sys
 
-from .bounds import BoundReport, ed_lower_bound, ef_certificate, pair_bounds
+from .bounds import CERT_SAMPLES, CERT_TOL, BoundReport, ed_lower_bound, ef_certificate
+from .bounds import pair_bounds
+from .linalg import CONV_TOL, MAX_ITERS, RESTARTS
 from .overlap import optimize_pair
 from .private_states import (
     build_private_state,
@@ -43,16 +45,21 @@ from .serialize import (
 )
 
 ENV_PREFIX = "PRIVDISTILL_"
+# (type, library default) of each flag that PRIVDISTILL_<NAME> can also set
+SETTINGS = {"seed": (int, 0), "restarts": (int, RESTARTS), "max_iters": (int, MAX_ITERS),
+            "conv_tol": (float, CONV_TOL), "samples": (int, CERT_SAMPLES)}
 
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ValueError(f"bad value for {ENV_PREFIX}{name}: {raw!r}") from exc
+def _fill_settings(args: argparse.Namespace) -> None:
+    """Fill each setting of the command that no flag gave from the
+    environment, else from the library default; a malformed variable raises."""
+    for name, (cast, default) in SETTINGS.items():
+        if vars(args).get(name, default) is None:  # the command has it, no flag gave it
+            raw = os.environ.get(var := ENV_PREFIX + name.upper())
+            try:
+                setattr(args, name, default if raw is None else cast(raw))
+            except ValueError as exc:
+                raise ValueError(f"bad value for {var}: {raw!r}") from exc
 
 
 def _dims(text: str) -> tuple[int, ...]:
@@ -68,21 +75,14 @@ def _dims(text: str) -> tuple[int, ...]:
 
 
 def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=_env("SEED", int, 0))
-    sub.add_argument("--restarts", type=int, default=_env("RESTARTS", int, 32))
-    sub.add_argument("--max-iters", type=int, default=_env("MAX_ITERS", int, 200))
-    sub.add_argument(
-        "--conv-tol", type=float, default=_env("CONV_TOL", float, 1e-12)
-    )
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--restarts", type=int)
+    sub.add_argument("--max-iters", type=int)
+    sub.add_argument("--conv-tol", type=float)
 
 
 def _optimizer_config(args: argparse.Namespace) -> dict:
-    return {
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "max_iters": args.max_iters,
-        "conv_tol": args.conv_tol,
-    }
+    return {name: getattr(args, name) for name in ("seed", "restarts", "max_iters", "conv_tol")}
 
 
 def _load_spec(path: str):
@@ -130,7 +130,7 @@ def cmd_distill(args: argparse.Namespace) -> int:
     """The pair's record, as `bound` reports it, and the settings."""
     spec = _load_spec(args.spec)
     result = optimize_pair(spec, args.i, args.j, **_optimizer_config(args))
-    (bound,), (outcome,) = pair_bounds(spec, [(args.i, args.j)], [result], args.variant)
+    (bound,), (outcome,) = pair_bounds(spec, [(args.i, args.j)], [result])
     report = report_to_json(bound)
     report["config"] = _optimizer_config(args)
     write_json(report, args.out)
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--parties", type=int, default=2)
     gen.add_argument("--shield-dims", type=_dims, default=(2, 2),
                      help="comma-separated per-party shield dimensions")
-    gen.add_argument("--seed", type=int, default=_env("SEED", int, 0))
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--shield-rank", type=int, default=None)
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=cmd_gen)
@@ -233,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     distill.add_argument("--spec", required=True)
     distill.add_argument("--i", type=int, required=True)
     distill.add_argument("--j", type=int, required=True)
-    distill.add_argument("--variant", choices=["V", "W"], default=None)
     _add_optimizer_flags(distill)
     distill.add_argument("--out", default=None)
     distill.add_argument("--post-out", default=None,
@@ -248,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     certify = subs.add_parser("certify", help="entanglement-of-formation certificate")
     certify.add_argument("--spec", required=True)
-    certify.add_argument("--samples", type=int, default=_env("SAMPLES", int, 200))
-    certify.add_argument("--seed", type=int, default=_env("SEED", int, 0))
-    certify.add_argument("--tol", type=float, default=1e-9)
+    certify.add_argument("--samples", type=int)
+    certify.add_argument("--seed", type=int)
+    certify.add_argument("--tol", type=float, default=CERT_TOL)
     certify.add_argument("--out", default=None)
     certify.set_defaults(func=cmd_certify)
 
@@ -267,19 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=8)
-def _parser(env: tuple[tuple[str, str], ...]) -> argparse.ArgumentParser:
-    """`build_parser()` for the PRIVDISTILL_* variables `env`, which are the
-    current ones; a malformed value raises and so is never cached."""
-    return build_parser()
+_parser = functools.cache(build_parser)  # no default depends on the environment
 
 
 def main(argv: list[str] | None = None) -> int:
-    env = tuple(sorted(
-        (name, value) for name, value in os.environ.items() if name.startswith(ENV_PREFIX)
-    ))
-    try:  # the parser reads PRIVDISTILL_* defaults, which may be malformed
-        args = _parser(env).parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+        _fill_settings(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

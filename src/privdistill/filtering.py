@@ -3,16 +3,17 @@
 Given maximizing product vectors for the cross operator of key values
 (i, j), each party applies a two-outcome filter that keeps only its key
 values i and j and projects its shield onto the corresponding product
-factor. Party 0 carries the balancing weight so that, on success, the two
-surviving branches have equal weight:
+factor. Party 0 balances the two surviving branches, of weights a1 (key
+i) and a2 (key j), with m = min(a1, a2):
 
-    V = |0><i| (x) <f_0|  +  sqrt(a1/a2) e^{i theta} |1><j| (x) <g_0|
+    F_0 = sqrt(m/a1) |0><i| (x) <f_0|  +  sqrt(m/a2) e^{i theta} |1><j| (x) <g_0|.
 
-when a2 >= a1, and the reverse scaling (W, the same operator rescaled by
-sqrt(a2/a1) e^{-i theta}) when a1 > a2. Every other party applies the
-unscaled P_k = |0><i| (x) <f_k| + |1><j| (x) <g_k|. The surviving state
-lives on N two-level keys and is a mixture of the two generalized Bell
-states (|0...0> +/- |1...1>)/sqrt(2).
+The weight below 1 falls on the heavier branch, so F_0 F_0^dagger <= I:
+only a contraction is one outcome of a local operation (a weight above 1
+would claim success (2/d) max(a1, a2), which no filter achieves). Every
+other party applies P_k = |0><i| (x) <f_k| + |1><j| (x) <g_k|. The
+surviving state lives on N two-level keys and is a mixture of the two
+generalized Bell states (|0...0> +/- |1...1>)/sqrt(2).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class FilterSet:
     """One rectangular filter per party, mapping key_k (x) shield_k to C^2."""
 
     party_ops: tuple[np.ndarray, ...]
-    variant: str  # "V" (weight on the ket branch) or "W" (on the bra branch)
+    variant: str  # label only: "V" if the key-j branch is weighted (a2 >= a1), else "W"
     i: int
     j: int
 
@@ -57,14 +58,9 @@ class PredictedOutcome:
     p: float
 
 
-def build_filters(
-    spec, i: int, j: int, result: PairOverlap, variant: str | None = None
-) -> FilterSet:
-    """Filter bank for key pair (i, j) from the pair's overlap result.
-
-    The variant is chosen from the branch weights (V when a2 >= a1) unless
-    forced explicitly.
-    """
+def build_filters(spec, i: int, j: int, result: PairOverlap) -> FilterSet:
+    """Filter bank for key pair (i, j) from the pair's overlap result, with
+    party 0's branch weights as in the module docstring."""
     if i == j:
         raise ValueError("a filter needs two distinct key values")
     if len(result.bra_vectors) != spec.parties:
@@ -72,21 +68,14 @@ def build_filters(
             f"overlap result has {len(result.bra_vectors)} product factors, "
             f"spec has {spec.parties} parties"
         )
-    a1, a2, theta = result.a1, result.a2, result.theta
+    a1, a2 = result.a1, result.a2
     if min(a1, a2) <= 0.0:
         raise FilterError(
             f"branch weights a1={a1:.3e}, a2={a2:.3e} must be positive to filter"
         )
-    if variant is None:
-        variant = "V" if a2 >= a1 else "W"
-    if variant not in ("V", "W"):
-        raise ValueError(f"variant must be 'V' or 'W', got {variant!r}")
-    if variant == "V":
-        bra_weight: complex = 1.0
-        ket_weight = np.sqrt(a1 / a2) * np.exp(1j * theta)
-    else:
-        bra_weight = np.sqrt(a2 / a1) * np.exp(-1j * theta)
-        ket_weight = 1.0
+    m = min(a1, a2)
+    bra_weight = np.sqrt(m / a1)
+    ket_weight = np.sqrt(m / a2) * np.exp(1j * result.theta)
 
     ops = []
     for k, (bra, ket) in enumerate(zip(result.bra_vectors, result.ket_vectors)):
@@ -95,7 +84,7 @@ def build_filters(
         op[0, i * s : (i + 1) * s] = (bra_weight if k == 0 else 1.0) * bra.conj()
         op[1, j * s : (j + 1) * s] = (ket_weight if k == 0 else 1.0) * ket.conj()
         ops.append(op)
-    return FilterSet(party_ops=tuple(ops), variant=variant, i=i, j=j)
+    return FilterSet(party_ops=tuple(ops), variant="V" if a2 >= a1 else "W", i=i, j=j)
 
 
 def apply_filter(state: PrivateState, filters: FilterSet) -> FilterOutcome:

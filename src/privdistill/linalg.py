@@ -17,6 +17,8 @@ HERM_TOL = 1e-12      # entrywise, relative to the largest |entry|
 PSD_TOL = 1e-10       # most negative eigenvalue allowed
 TRACE_TOL = 1e-10
 CONV_TOL = 1e-12      # iterative-ascent convergence threshold
+RESTARTS = 32         # random starts per cross operator in the ascent
+MAX_ITERS = 200       # sweep limit per start
 
 
 class LayoutError(ValueError):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import ascent
 from .ascent import ascend, row_kron
-from .linalg import CONV_TOL, as_complex, kron_all
+from .linalg import CONV_TOL, MAX_ITERS, RESTARTS, as_complex, kron_all
 from .private_states import PrivateStateSpec
 
 CROSS_NORM_FLOOR = 1e-14
@@ -43,6 +43,11 @@ class OverlapResult:
     within the sweep limit, and `sweeps` is the number of sweeps it ran,
     accepted or not. `start_etas` holds the reported overlap of every
     start, its best accepted one, in start order.
+
+    `theta` is the phase of the best start's overlap. It is 0.0 whenever
+    that start had an accepted sweep, because `ascent.fit` leaves the
+    overlap real and nonnegative; it can be nonzero only with
+    `max_iters=0` or when no sweep of that start was accepted.
     """
 
     eta: float
@@ -185,8 +190,8 @@ def _overlaps(
 def eta_optimize(
     x: np.ndarray,
     dims: tuple[int, ...] | list[int],
-    restarts: int = 32,
-    max_iters: int = 200,
+    restarts: int = RESTARTS,
+    max_iters: int = MAX_ITERS,
     conv_tol: float = CONV_TOL,
     seed: int | np.random.SeedSequence = 0,
 ) -> OverlapResult:
@@ -215,8 +220,8 @@ def optimize_pair(
     spec: PrivateStateSpec,
     i: int,
     j: int,
-    restarts: int = 32,
-    max_iters: int = 200,
+    restarts: int = RESTARTS,
+    max_iters: int = MAX_ITERS,
     conv_tol: float = CONV_TOL,
     seed: int = 0,
 ) -> PairOverlap:
@@ -228,8 +233,8 @@ def optimize_pair(
 def optimize_pairs(
     spec: PrivateStateSpec,
     pairs: list[tuple[int, int]],
-    restarts: int = 32,
-    max_iters: int = 200,
+    restarts: int = RESTARTS,
+    max_iters: int = MAX_ITERS,
     conv_tol: float = CONV_TOL,
     seed: int = 0,
 ) -> list[PairOverlap]:

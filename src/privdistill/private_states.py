@@ -91,6 +91,8 @@ def random_spec(
     shield_rank: int | None = None,
 ) -> PrivateStateSpec:
     """Spec with a Wishart shield and Haar unitaries, all derived from `seed`."""
+    if d < 2:  # before `spawn(d + 1)`, which fails on it with a traceback
+        raise ValueError(f"key dimension d must be >= 2, got {d}")
     dims = tuple(int(x) for x in shield_dims)
     s = int(np.prod(dims, dtype=np.int64))
     if shield_rank is None:

@@ -256,8 +256,20 @@ def test_malformed_env_default_gives_one_line_error(spec_path, monkeypatch, caps
     assert capsys.readouterr().err == "error: bad value for PRIVDISTILL_RESTARTS: 'abc'\n"
 
 
+def test_malformed_env_value_fails_only_a_command_that_reads_it(spec_path, tmp_path, monkeypatch):
+    """PRIVDISTILL_RESTARTS is read only by a command with `--restarts`,
+    and only when that flag is not given."""
+    monkeypatch.setenv("PRIVDISTILL_RESTARTS", "abc")
+    assert main(["gen", "--out", str(tmp_path / "spec.json")]) == 0
+    assert main(["certify", "--spec", spec_path, "--samples", "2",
+                 "--out", str(tmp_path / "cert.json")]) == 0
+    assert main(["eta", "--spec", spec_path, "--i", "0", "--j", "1", "--restarts", "2",
+                 "--out", str(tmp_path / "eta.json")]) == 0
+    assert main(["eta", "--spec", spec_path, "--i", "0", "--j", "1"]) == 1
+
+
 def test_parser_defaults_follow_the_environment_between_calls(spec_path, tmp_path, monkeypatch):
-    """The parser is built once per set of PRIVDISTILL_* values, so each
+    """The environment is read after parsing, on every call, so each
     in-process call embeds the seed of the environment it ran in."""
     out = tmp_path / "cert.json"
     for seed in ("4", "9", None, "4"):
@@ -277,7 +289,7 @@ def test_malformed_env_value_after_a_good_call_gives_one_line_error(
     assert main(args) == 0
     capsys.readouterr()
     monkeypatch.setenv("PRIVDISTILL_SAMPLES", "3x")
-    for _ in range(2):  # the failed parser build is not cached
+    for _ in range(2):  # each call reads the environment anew
         assert main(args) == 1
         assert capsys.readouterr().err == "error: bad value for PRIVDISTILL_SAMPLES: '3x'\n"
 
@@ -296,6 +308,29 @@ def test_bad_shield_dims_argument(capsys):
     assert main(["gen", "--shield-dims", "2,x"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--shield-dims" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--d", "-1"],
+    ["gen", "--d", "-2"],
+    ["sweep", "--d", "-1", "--knob", "depolarize", "--values", "0"],
+])
+def test_key_dimension_below_two_gives_one_line_naming_d(tmp_path, capsys, args):
+    """`random_spec` refuses d < 2 before it spawns d + 1 seeds, where a
+    negative d would raise IndexError or OverflowError instead."""
+    out = tmp_path / "out.json"
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: key dimension d must be >= 2, got {args[2]}\n"
+    assert not out.exists()
+
+
+def test_distill_has_no_variant_flag(spec_path, capsys):
+    """The filter follows one rule, with the weight below 1 on the heavier
+    branch: the other weighting is no local operation, so no flag selects it."""
+    assert main(["distill", "--spec", spec_path, "--i", "0", "--j", "1", "--variant", "W"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--variant" in err
     assert err.count("\n") == 1
 
 

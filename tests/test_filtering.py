@@ -29,9 +29,9 @@ def two_qubit_shield_spec(shield, u1):
     )
 
 
-def run_pipeline(spec, i=0, j=1, seed=0, variant=None):
+def run_pipeline(spec, i=0, j=1, seed=0):
     res = optimize_pair(spec, i, j, seed=seed)
-    filters = build_filters(spec, i, j, res, variant=variant)
+    filters = build_filters(spec, i, j, res)
     outcome = apply_filter(build_private_state(spec), filters)
     return res, filters, outcome
 
@@ -70,14 +70,6 @@ def test_variant_selection_follows_branch_weights():
             assert filters.variant == "V"
         else:
             assert filters.variant == "W"
-
-
-def test_forced_variant_on_tie_is_equivalent():
-    spec = two_qubit_shield_spec(np.eye(4) / 4, SWAP)
-    res_v, _, out_v = run_pipeline(spec, variant="V")
-    res_w, _, out_w = run_pipeline(spec, variant="W")
-    assert abs(out_v.success - out_w.success) < 1e-12
-    assert np.abs(out_v.state.matrix - out_w.state.matrix).max() < 1e-12
 
 
 def test_filter_shapes_are_rectangular():
@@ -180,11 +172,24 @@ def test_build_filters_needs_two_key_values():
         build_filters(spec, 1, 1, res)
 
 
-def test_bad_variant_rejected():
-    spec = random_spec(2, 2, (2, 2), seed=0)
-    res = optimize_pair(spec, 0, 1, seed=0)
-    with pytest.raises(ValueError):
-        build_filters(spec, 0, 1, res, variant="X")
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_party_filter_is_a_contraction(d, dims, seed):
+    """Each party's filter F satisfies F F^dagger <= I (spectral norm <= 1),
+    so it is one outcome of a local operation, on every ordered key pair:
+    (i, j) and (j, i) swap a1 and a2, so both labels occur."""
+    assume(d ** len(dims) * int(np.prod(dims)) <= 512)
+    spec = random_spec(d, len(dims), tuple(dims), seed=seed)
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    for (i, j), res in zip(pairs, optimize_pairs(spec, pairs, restarts=2, seed=seed)):
+        filters = build_filters(spec, i, j, res)
+        assert filters.variant == ("V" if res.a2 >= res.a1 else "W")
+        for op in filters.party_ops:
+            assert np.linalg.norm(op, 2) <= 1 + 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -212,11 +217,10 @@ def test_simulated_outcome_identities_on_generated_specs(d, dims, seed, data):
     d=st.integers(2, 4),
     dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
     rank_fraction=st.floats(0.0, 1.0),
-    variant=st.sampled_from(["V", "W"]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_filter_outcome_matches_dense_filter(d, dims, rank_fraction, variant, seed, data):
+def test_filter_outcome_matches_dense_filter(d, dims, rank_fraction, seed, data):
     """The block formula (1/d) Z rho Z^dagger gives the outcome of the dense
     filter: success, p, residual and the post-filter state agree to 1e-14."""
     assume(d ** len(dims) * int(np.prod(dims)) <= 512)
@@ -225,7 +229,7 @@ def test_filter_outcome_matches_dense_filter(d, dims, rank_fraction, variant, se
     spec = random_spec(d, len(dims), tuple(dims), seed=seed, shield_rank=rank)
     res = optimize_pair(spec, i, j, restarts=2, seed=seed)
     try:
-        filters = build_filters(spec, i, j, res, variant=variant)
+        filters = build_filters(spec, i, j, res)
         dense = apply_filter(build_private_state(spec), filters)
     except FilterError:
         assume(False)
@@ -242,10 +246,9 @@ def test_filter_outcome_matches_dense_filter(d, dims, rank_fraction, variant, se
     d=st.integers(2, 4),
     dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
     rank_fraction=st.floats(0.0, 1.0),
-    variant=st.sampled_from(["V", "W"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_filter_outcomes_of_every_pair_match_dense_filters(d, dims, rank_fraction, variant, seed):
+def test_filter_outcomes_of_every_pair_match_dense_filters(d, dims, rank_fraction, seed):
     """One stacked `filter_outcomes` over all key pairs of a spec gives each
     pair the outcome of the dense filter: success, p, residual and the
     post-filter state agree to 1e-13."""
@@ -255,8 +258,7 @@ def test_filter_outcomes_of_every_pair_match_dense_filters(d, dims, rank_fractio
     pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
     results = optimize_pairs(spec, pairs, restarts=2, seed=seed)
     try:
-        filter_sets = [build_filters(spec, i, j, r, variant=variant)
-                       for (i, j), r in zip(pairs, results)]
+        filter_sets = [build_filters(spec, i, j, r) for (i, j), r in zip(pairs, results)]
     except FilterError:
         assume(False)
     state = build_private_state(spec)
