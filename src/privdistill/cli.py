@@ -108,7 +108,15 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_pair(args: argparse.Namespace) -> None:
+    """Refuse a key pair not named i < j: `bound` lists (i, j) only that
+    way, and the pair's seed depends on the order."""
+    if args.i >= args.j:
+        raise ValueError(f"key pair must be named with --i < --j, got --i {args.i} --j {args.j}")
+
+
 def cmd_eta(args: argparse.Namespace) -> int:
+    _check_pair(args)
     spec = _load_spec(args.spec)
     result = optimize_pair(spec, args.i, args.j, **_optimizer_config(args))
     report = {
@@ -128,6 +136,7 @@ def cmd_eta(args: argparse.Namespace) -> int:
 
 def cmd_distill(args: argparse.Namespace) -> int:
     """The pair's record, as `bound` reports it, and the settings."""
+    _check_pair(args)
     spec = _load_spec(args.spec)
     result = optimize_pair(spec, args.i, args.j, **_optimizer_config(args))
     (bound,), (outcome,) = pair_bounds(spec, [(args.i, args.j)], [result])

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ascent
 from .ascent import ascend, row_kron
 from .linalg import CONV_TOL, MAX_ITERS, RESTARTS, as_complex, kron_all
 from .private_states import PrivateStateSpec
 
+GATHER_BYTES = 1 << 22  # operators whose entries are sorted at once; bounds peak memory
 CROSS_NORM_FLOOR = 1e-14
 ETA_FLOOR = 1e-8
 DETERMINISTIC_STARTS = 4
@@ -45,7 +45,7 @@ class OverlapResult:
     start, its best accepted one, in start order.
 
     `theta` is the phase of the best start's overlap. It is 0.0 whenever
-    that start had an accepted sweep, because `ascent.fit` leaves the
+    that start had an accepted sweep, because `ascent.sweep` leaves the
     overlap real and nonnegative; it can be nonzero only with
     `max_iters=0` or when no sweep of that start was accepted.
     """
@@ -110,7 +110,7 @@ def _stacked_starts(
     and sort indices held at once; each row is sorted alone either way."""
     top = np.empty((len(xs), min(DETERMINISTIC_STARTS, xs[0].size)), dtype=np.intp)
     keep = np.empty(top.shape, dtype=bool)  # a prefix of each row
-    step = max(1, ascent.GATHER_BYTES // xs[0].nbytes)
+    step = max(1, GATHER_BYTES // xs[0].nbytes)
     for lo in range(0, len(xs), step):
         magnitudes = np.abs(xs[lo : lo + step]).reshape(-1, xs[0].size)
         order = np.argsort(magnitudes, axis=1)[:, ::-1][:, :DETERMINISTIC_STARTS]
@@ -160,10 +160,24 @@ def _overlaps(
 ) -> tuple[list[OverlapResult], list[np.ndarray], list[np.ndarray]]:
     """One ascent over the starts of every operator of `xs`, operator k
     drawing from seeds[k]: the result of each, and the factors of their
-    best starts as (operators, dim) arrays (bras, kets)."""
+    best starts as (operators, dim) arrays (bras, kets).
+
+    The ascent's raw norms are powers of the overlap (see `ascent`), so
+    `xs` is first divided in place by the power of two that brings its
+    largest real or imaginary part into [1, 2), which keeps them in range
+    whatever the size of the operators. Where no number leaves the normal
+    range, the ascent of xs / scale with tolerance conv_tol / scale makes
+    the same steps as that of xs, and its overlaps times scale are those of
+    xs, bit for bit; so no result depends on the operators that share the
+    stack."""
+    scale = np.ldexp(1.0, np.frexp(max(xs.view(float).max(), -xs.view(float).min()))[1] - 1)
+    xs /= scale  # no copy: the stacks of a tensor power are tens of MB
     bras, kets, counts = _stacked_starts(xs, dims, restarts, seeds)
     who = np.repeat(np.arange(len(xs)), counts)
-    bras, kets, value, sweeps, converged = ascend(xs, who, dims, bras, kets, max_iters, conv_tol)
+    bras, kets, value, sweeps, converged = ascend(
+        xs, who, dims, bras, kets, max_iters, conv_tol / scale
+    )
+    value *= scale
     etas = np.abs(value)
     first = np.cumsum(counts) - counts
     best = np.lexsort((-etas, who))[first]  # np.argmax over each operator's starts
@@ -213,7 +227,7 @@ def eta_optimize(
         raise ValueError(f"operator shape {x.shape} does not match dims {dims}")
     if restarts == 0 and not x.any():
         raise ValueError("operator has no nonzero entry and restarts is 0: no start to run")
-    return _overlaps(x[None], dims, restarts, [seed], max_iters, conv_tol)[0][0]
+    return _overlaps(x[None].copy(), dims, restarts, [seed], max_iters, conv_tol)[0][0]
 
 
 def optimize_pair(

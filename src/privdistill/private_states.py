@@ -155,15 +155,12 @@ def build_private_state(spec: PrivateStateSpec) -> PrivateState:
     key_dim = d**n
     s = spec.shield_total_dim
     rho = np.zeros((key_dim * s, key_dim * s), dtype=complex)
-    blocks = rho.reshape(key_dim, s, key_dim, s)
-    shield = spec.shield.matrix
-    for i in range(d):
-        ui = spec.unitaries[i].matrix
-        for j in range(d):
-            uj = spec.unitaries[j].matrix
-            blocks[repeated_key_index(i, d, n), :, repeated_key_index(j, d, n), :] = (
-                ui @ shield @ uj.conj().T
-            ) / d
+    us = np.array([u.matrix for u in spec.unitaries])
+    # Block (i, j) is U_i rho U_j^dagger / d: one batched product, each
+    # block the same BLAS calls as `ui @ shield @ uj.conj().T` alone.
+    cross = (us @ spec.shield.matrix)[:, None] @ us.conj().transpose(0, 2, 1)[None]
+    keys = repeated_key_index(np.arange(d), d, n)
+    rho.reshape(key_dim, s, key_dim, s)[keys[:, None], :, keys[None, :], :] = cross / d
     # No dense check: the spectrum is the shield's (see eigenvectors_of_pdit),
     # and the shield and unitaries were checked when the spec was made.
     return PrivateState(spec=spec, rho=DensityMatrix(rho, spec.state_layout()))

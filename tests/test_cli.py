@@ -452,3 +452,20 @@ def test_bad_optimizer_or_power_flag_gives_one_line_error(spec_path, tmp_path, c
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eta", "distill"])
+@pytest.mark.parametrize("i, j", [(1, 0), (1, 1)])
+def test_pair_commands_refuse_a_pair_not_named_i_below_j(spec_path, tmp_path, capsys,
+                                                          command, i, j):
+    """`bound` names each key pair (i, j) with i < j, and a pair's starts are
+    seeded by (i, j) in that order, so `--i 1 --j 0` would report a record
+    that `bound` never lists: it gives exit code 1 and one `error:` line."""
+    out = tmp_path / "out.json"
+    rc = main([command, "--spec", spec_path, "--i", str(i), "--j", str(j),
+               "--restarts", "2", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: key pair must be named with --i < --j, got --i {i} --j {j}\n"
+    )
+    assert not out.exists()

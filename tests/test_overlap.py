@@ -1,19 +1,21 @@
 """Product-overlap maximization: oracles, invariants, and the dual route."""
 
+import contextlib
 import dataclasses
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BITWISE_BLAS
-from privdistill import ascent
-from privdistill.ascent import ascend, block_grid, block_product, fit, row_kron
-from privdistill.linalg import CONV_TOL, layout
+from privdistill import overlap
+from privdistill.ascent import ascend, block_grid, block_product, row_kron, sweep
+from privdistill.linalg import CONV_TOL, MAX_ITERS, layout
 from privdistill.overlap import (
     DETERMINISTIC_STARTS,
+    ETA_FLOOR,
     _cross_operators,
     _stacked_starts,
     brute_force_eta,
@@ -366,7 +368,7 @@ def test_stacked_starts_sorted_in_chunks_are_the_per_operator_starts(gather_byte
     xs = _cross_operators(spec, pairs)
     xs[3] = _sparse({(0, 5): 0.25, (7, 1): -1.0}, 16)  # two deterministic starts
     seeds = list(range(len(xs)))
-    with mock.patch.object(ascent, "GATHER_BYTES", gather_bytes):
+    with mock.patch.object(overlap, "GATHER_BYTES", gather_bytes):
         bras, kets, counts = _stacked_starts(xs, (4, 4), 2, seeds)
     want = [per_operator_starts(x, (4, 4), 2, s) for x, s in zip(xs, seeds)]
     assert counts.tolist() == [len(w[0][0]) for w in want]
@@ -383,51 +385,78 @@ def factor_columns(points, dims):
     return [points[:, lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def ascend_without_compaction(xs, who, dims, bras, kets, max_iters, conv_tol):
-    """The ascent with its state kept full size: every sweep gathers the
-    points of the live starts, sweeps them, takes the mixing step and
-    scatters them back. Also returns the number of mixing steps and of
-    rejected sweeps."""
+def fit(t, dims, factors, conjs):
+    """The per-factor fit of earlier engines: each factor in turn becomes the
+    normalized contraction of t with the conjugates of all the others (a
+    factor whose contraction vanishes is left as it is), in place. Returns
+    the norm of the last contraction per row, the overlap with the new
+    factors."""
     n = len(dims)
-    grid = block_grid(who, np.bincount(who, minlength=len(xs)))
-    g_rows = row_kron(kets)
-    value = np.einsum("bc,bc->b", block_product(row_kron(bras).conj(), xs, grid), g_rows)
+    t = t.reshape((t.shape[0],) + tuple(dims))
+    for k in range(n):
+        c, axes = t, list(range(n + 1))
+        for m in reversed(range(n)):
+            if m != k:
+                kept = [a for a in axes if a != m + 1]
+                c, axes = np.einsum(c, axes, conjs[m], [0, m + 1], kept), kept
+        parts = c.view(float)  # real and imaginary parts, side by side
+        nrm = np.sqrt(np.einsum("bi,bi->b", parts, parts))[:, None]
+        np.divide(c, nrm, out=factors[k], where=nrm > 0.0)
+        np.conjugate(factors[k], out=conjs[k])
+    return nrm[:, 0]
+
+
+def per_factor_sweep(xs, grid, dims, z, scratch):
+    """`ascent.sweep` with every factor normalized as soon as it is fitted."""
+    n, z_conj = len(dims), np.conjugate(z, out=scratch)
+    f, f_conj = factor_columns(z, dims), factor_columns(z_conj, dims)
+    fit(block_product(row_kron(f[n:]), xs.transpose(0, 2, 1), grid), dims, f[:n], f_conj[:n])
+    w = block_product(row_kron(f_conj[:n]), xs, grid)
+    return fit(w.conj(), dims, f[n:], f_conj[n:])
+
+
+def ascend_without_compaction(xs, who, dims, bras, kets, max_iters, conv_tol, sweep=sweep):
+    """The ascent with its state kept full size: every row sweeps on every
+    sweep, whether its start has stopped or not, and a start's result is
+    copied out at the sweep where it stops. Also returns the number of
+    mixing steps and of rejected sweeps of starts that had not stopped."""
+    grid = block_grid(who, xs)
+    value = np.einsum("bc,bc->b", block_product(row_kron(bras).conj(), xs, grid), row_kron(kets))
     sweeps = np.full(value.size, max_iters)
     converged = np.zeros(value.size, dtype=bool)
     x = np.concatenate(bras + kets, axis=1)
     x_prev, r_prev, best_y, best = x.copy(), x.copy(), x.copy(), np.abs(value)
-    live = np.arange(who.size)
+    best_value, result, running = value.copy(), x.copy(), np.ones(value.size, dtype=bool)
     steps = rejections = 0
-    for sweep in range(1, max_iters + 1):
-        z = x[live]
-        z_conj = z.conj()
-        f, f_conj = factor_columns(z, dims), factor_columns(z_conj, dims)
-        fit(block_product(g_rows[live], xs.transpose(0, 2, 1), grid), dims, f[:n], f_conj[:n])
-        w_conj = block_product(row_kron(f[:n]).conj(), xs, grid)
-        size = fit(w_conj.conj(), dims, f[n:], f_conj[n:])
-        r = z - x[live]
-        dr, dx = r - r_prev[live], x[live] - x_prev[live]
+    for it in range(1, max_iters + 1):
+        z = x.copy()
+        size = sweep(xs, grid, dims, z, np.empty_like(z))
+        z[size == 0.0] = x[size == 0.0]  # a vanished contraction leaves the start at x
+        r = z - x
+        dr, dx = r - r_prev, x - x_prev
         pair = np.stack([dr, dx], axis=1)
         den, secant = np.einsum("bml,bl->mb", pair.view(float), dr.view(float))
         num = np.einsum("bl,bl->b", r.view(float), dr.view(float))
-        done = np.abs(size - best[live]) <= conv_tol
-        up = size >= best[live]
+        done = np.abs(size - best) <= conv_tol
+        up = size >= best
         step = (secant < 0.0) & (den > 0.0)
-        steps, rejections = steps + step.sum(), rejections + (~up).sum()
-        best_y[live[up]], value[live[up]], best[live[up]] = z[up], size[up], size[up]
+        steps += (step & running).sum()
+        rejections += (~up & running).sum()
+        best_y[up], best_value[up], best[up] = z[up], size[up], size[up]
         if step.any():
             z -= np.divide(num, den, out=np.zeros_like(num), where=step)[:, None] * (dx + dr)
-        z[~up] = best_y[live[~up]]
-        x_prev[live], r_prev[live], x[live] = x[live], r, z
-        x_prev[live[~up]] = z[~up]
-        g_rows[live] = row_kron(factor_columns(z, dims)[n:])
-        converged[live[done]] = True
-        sweeps[live[done]] = sweep
-        live = live[~done]
-        if not live.size:
+        z[~up] = best_y[~up]
+        x_prev, r_prev, x = x, r, z
+        x_prev[~up] = z[~up]
+        stop = done & running
+        result[stop], value[stop] = best_y[stop], best_value[stop]
+        converged[stop], sweeps[stop] = True, it
+        running &= ~done
+        if not running.any():
             break
-        grid = block_grid(who[live], np.bincount(who[live], minlength=len(xs)))
-    columns = factor_columns(best_y, dims)
+    result[running], value[running] = best_y[running], best_value[running]
+    columns = factor_columns(result, dims)
+    n = len(dims)
     return columns[:n], columns[n:], value, sweeps, converged, steps, rejections
 
 
@@ -435,7 +464,7 @@ def plain_ascend(xs, who, dims, bras, kets, max_iters, conv_tol):
     """Alternating ascent with no mixing, as the engine ran before it mixed
     sweeps: every start sweeps from where its last sweep ended and stops
     once a sweep changes its |overlap| by at most `conv_tol`."""
-    grid = block_grid(who, np.bincount(who, minlength=len(xs)))
+    grid = block_grid(who, xs)
     g_rows = row_kron(kets)
     value = np.einsum("bc,bc->b", block_product(row_kron(bras).conj(), xs, grid), g_rows)
     live = np.arange(who.size)
@@ -455,7 +484,7 @@ def plain_ascend(xs, who, dims, bras, kets, max_iters, conv_tol):
         live = live[~done]
         if not live.size:
             break
-        grid = block_grid(who[live], np.bincount(who[live], minlength=len(xs)))
+        grid = block_grid(who[live], xs)
     return value
 
 
@@ -632,7 +661,10 @@ def test_eta_optimize_refuses_a_call_with_no_start():
     with pytest.raises(ValueError, match="no start"):
         eta_optimize(np.zeros((4, 4), dtype=complex), (2, 2), restarts=0)
     with pytest.warns(UserWarning):
-        assert eta_optimize(np.zeros((4, 4), dtype=complex), (2, 2), restarts=1).eta == 0.0
+        res = eta_optimize(np.zeros((4, 4), dtype=complex), (2, 2), restarts=1)
+    assert (res.eta, res.converged, res.sweeps) == (0.0, True, 1)
+    for v in res.bra_vectors + res.ket_vectors:  # the start, where it stayed
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
@@ -667,17 +699,106 @@ def test_block_products_are_each_operators_product(s):
     the rows of that operator alone: to 1e-13 everywhere, and bit for bit
     on a BLAS where that was checked (`BITWISE_BLAS`). Also when a row is
     alone with its operator (a matrix-vector product), for empty blocks,
-    for groups of consecutive blocks and of scattered ones."""
+    and for runs of blocks with equal counts and blocks with the count of
+    a block that is not next to them."""
     rng = np.random.default_rng(s)
     ops = rng.normal(size=(5, s, s)) + 1j * rng.normal(size=(5, s, s))
-    for counts in ([1, 3, 0, 1, 2], [1, 1, 0, 1, 1], [2, 0, 4, 3, 2], [0, 0, 1, 0, 0],
-                   [3, 3, 3, 3, 3]):
+    cases = ([1, 3, 0, 1, 2], [1, 1, 0, 1, 1], [2, 0, 4, 3, 2], [0, 0, 1, 0, 0], [3, 3, 3, 3, 3])
+    for counts in cases:
         counts = np.array(counts)
         block = np.repeat(np.arange(5), counts)
         rows = rng.normal(size=(block.size, s)) + 1j * rng.normal(size=(block.size, s))
-        out = block_product(rows, ops, block_grid(block, counts))
+        grid = block_grid(block, ops)
+        assert sum(c * (b.stop - b.start) for _, b, c in grid) == block.size
+        out = block_product(rows, ops, grid)
         for k in range(5):
             alone = rows[block == k] @ ops[k]
             assert np.abs(out[block == k] - alone).max(initial=0.0) <= 1e-13 * s
             if BITWISE_BLAS:
                 assert np.array_equal(out[block == k], alone)
+
+
+def test_a_start_whose_contraction_vanishes_stays_where_it_is():
+    """x = |00><00| on (2, 2). The start (e0 e1, e0 e0) has overlap exactly 0,
+    and so has its first contraction, x g against e1: the sweep leaves it
+    where it is, with overlap 0, and it stops at sweep 1, frozen while the
+    other starts of its operator go on. The start (e1 e0, e0 e0) also has
+    overlap 0, but its contraction does not vanish, and it climbs to 1."""
+    e0, e1 = np.eye(2, dtype=complex)
+    x = np.zeros((1, 4, 4), dtype=complex)
+    x[0, 0, 0] = 1.0
+    bras = [np.array([e0, e0, e1]), np.array([e0, e1, e0])]
+    kets = [np.array([e0, e0, e0]), np.array([e0, e0, e0])]
+    starts = [a.copy() for a in bras + kets]
+    f, g, value, sweeps, converged = ascend(x, np.zeros(3, dtype=int), (2, 2), bras, kets,
+                                            200, CONV_TOL)
+    assert value.tolist() == [1.0, 0.0, 1.0]
+    assert sweeps.tolist() == [1, 1, 2] and converged.all()
+    for got, start in zip(f + g, starts):
+        assert np.array_equal(got[1], start[1])
+        assert np.isfinite(got).all()
+    assert np.abs(f[0][2] - e0).max() <= 1e-15 and np.abs(f[1][2] - e0).max() <= 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    rank_fraction=st.floats(0.0, 1.0),
+    k=st.integers(-6, 0),
+    restarts=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Near-tied starts: two of them end at distinct local maxima 4.8e-5 apart
+# (relative), so a start whose path the rounding flipped would show.
+@example(dims=[3, 3, 1], rank_fraction=1.0, k=0, restarts=6, seed=643452868)
+@example(dims=[3, 3, 1], rank_fraction=1.0, k=-6, restarts=6, seed=643452868)
+def test_grouped_normalization_keeps_the_per_factor_result(dims, rank_fraction, k, restarts,
+                                                            seed):
+    """For one to four parties, any rank, and operators scaled by 10^k down
+    to 1e-6, every result of `ascend` (the overlaps and the factors of every
+    start) is finite, and the best overlap is, to 1e-9 relative, that of the
+    same ascent from the same starts with every factor normalized as soon
+    as it is fitted."""
+    dims = tuple(dims)
+    total = int(np.prod(dims))
+    rank = max(1, round(rank_fraction * total))
+    rng = np.random.default_rng(seed)
+    parts = rng.normal(size=(4, total, rank))
+    xs = ((parts[0] + 1j * parts[1]) @ (parts[2] + 1j * parts[3]).conj().T)[None]  # rank `rank`
+    xs *= 10.0**k / np.abs(xs).max()
+    bras, kets, counts = _stacked_starts(xs, dims, restarts, [seed])
+    who = np.zeros(counts[0], dtype=int)
+    ref = ascend_without_compaction(xs, who, dims, [b.copy() for b in bras],
+                                    [g.copy() for g in kets], MAX_ITERS, CONV_TOL,
+                                    sweep=per_factor_sweep)
+    f, g, value, _, _ = ascend(xs, who, dims, bras, kets, MAX_ITERS, CONV_TOL)
+    assert np.isfinite(value).all() and all(np.isfinite(v).all() for v in f + g)
+    want = np.abs(ref[2]).max()
+    assert abs(np.abs(value).max() - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 2, 2, 2)])
+def test_eta_optimize_of_a_huge_or_tiny_operator(dims):
+    """The ascent's raw norms are powers of the overlap, up to its 8th, so
+    its operators are rescaled by a power of two first. With the
+    tolerance scaled too, x times 2^+-200 or 1e+-30 gives the overlap of x
+    times that factor to 1e-13 relative, with no overflow or underflow; for
+    a power of two, also the same vectors, flags and sweeps, bit for bit on
+    a BLAS where that was checked (`BITWISE_BLAS`)."""
+    rng = np.random.default_rng(3)
+    total = int(np.prod(dims))
+    x = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
+    base = eta_optimize(x, dims, restarts=4, seed=2)
+    for factor in (2.0**200, 2.0**-200, 1e30, 1e-30):
+        tiny = base.eta * factor < ETA_FLOOR  # warned of, and still computed
+        with pytest.warns(UserWarning, match="below") if tiny else contextlib.nullcontext():
+            res = eta_optimize(x * factor, dims, restarts=4, seed=2, conv_tol=CONV_TOL * factor)
+        assert abs(res.eta / factor - base.eta) <= 1e-13 * base.eta
+        if BITWISE_BLAS and np.frexp(factor)[0] == 0.5:  # a power of two
+            assert (res.eta, res.start_etas) == (base.eta * factor,
+                                                 [e * factor for e in base.start_etas])
+            assert (res.converged, res.sweeps, res.theta) == (
+                base.converged, base.sweeps, base.theta)
+            for u, v in zip(res.bra_vectors + res.ket_vectors,
+                            base.bra_vectors + base.ket_vectors):
+                assert np.array_equal(u, v)
