@@ -1,12 +1,12 @@
 """The batched alternating-ascent engine behind `overlap`.
 
 Every start of every operator advances at once: the factors of all starts
-are (starts, dim) arrays, and the starts of one operator are contiguous
-rows. The products with the operators are batched matmuls, one per run
-of consecutive operators with equal numbers of starts (`block_grid`,
-`block_product`), on views: no row or operator is padded or copied. Each
-start mixes its sweeps (guarded Anderson mixing, see `ascend`) with
-arithmetic of its own.
+are (starts, dim) arrays, and every operator has the same number of
+starts, c, in consecutive rows. The products with the operators are
+batched matmuls, one per run of consecutive operators in the batch
+(`block_grid`, `block_product`), on views: no row or operator is padded
+or copied. Each start mixes its sweeps (guarded Anderson mixing, see
+`ascend`) with arithmetic of its own.
 
 A sweep (`sweep`) fits each factor in turn to the contraction of the
 operator with all the others, the higher-order power method. That map is
@@ -40,38 +40,36 @@ def row_kron(factors: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def block_grid(block: np.ndarray, ops: np.ndarray) -> list[tuple[slice, slice, int]]:
-    """How `block_product` multiplies rows by the operators `ops`: row r
-    belongs to block block[r] (non-decreasing), that is, to ops[block[r]].
+def block_grid(ops: np.ndarray, c: int) -> list[tuple[slice, slice]]:
+    """How `block_product` multiplies rows by the operators: the rows are c
+    per operator, for the operators `ops` (increasing), in that order.
 
-    The blocks are cut into runs of consecutive blocks that hold the same
-    number of rows, c; the rows of a run are consecutive too. A run is
-    given as the slices of its rows and of its blocks, and c.
+    The operators are cut into runs of consecutive operators, whose rows
+    are consecutive too. A run is given as the slices of its rows and of
+    its operators.
     """
-    counts = np.bincount(block, minlength=len(ops))
-    lo = np.flatnonzero(np.diff(counts, prepend=-1))  # where a run of equal counts begins
-    hi = np.append(lo[1:], counts.size)
-    first = np.cumsum(counts) - counts
-    runs = zip(lo.tolist(), hi.tolist(), counts[lo].tolist(), first[lo].tolist())
-    return [(slice(r, r + c * (b - a)), slice(a, b), c) for a, b, c, r in runs if c]
+    lo = np.flatnonzero(np.diff(ops, prepend=-2) != 1)  # where a run begins
+    hi = np.append(lo[1:], ops.size)
+    runs = zip(lo.tolist(), hi.tolist(), ops[lo].tolist())
+    return [(slice(c * a, c * b), slice(k, k + b - a)) for a, b, k in runs]
 
 
 def block_product(
-    rows: np.ndarray, ops: np.ndarray, grid: list[tuple[slice, slice, int]]
+    rows: np.ndarray, ops: np.ndarray, grid: list[tuple[slice, slice]]
 ) -> np.ndarray:
-    """Row r of the result is rows[r] @ ops[k], for the block k holding row r.
+    """Row r of the result is rows[r] @ ops[k], for the operator k holding row r.
 
     Each run of the grid (`block_grid`) is one batched matmul of its
-    (blocks, c, dim) rows by its blocks' operators, on views of both and
+    (operators, c, dim) rows by its operators, on views of both and
     written in place: no row or operator is copied. NumPy multiplies each
-    block of a batch by the same BLAS call, with the same shapes, as the c
-    rows of that block alone by its operator, so each row gets the same
-    bits as when its operator's starts run alone, if the BLAS gives equal
-    bits for equal calls.
+    operator of a batch by the same BLAS call, with the same shapes, as
+    the c rows of that operator alone, so each row gets the same bits as
+    when its operator's starts run alone, if the BLAS gives equal bits for
+    equal calls.
     """
     out = np.empty_like(rows)
-    for part, blocks, c in grid:
-        batch = rows[part].reshape(-1, c, rows.shape[1])
+    for part, blocks in grid:
+        batch = rows[part].reshape(blocks.stop - blocks.start, -1, rows.shape[1])
         np.matmul(batch, ops[blocks], out=out[part].reshape(batch.shape))
     return out
 
@@ -187,7 +185,7 @@ def sweep(
 
 def ascend(
     xs: np.ndarray,
-    who: np.ndarray,
+    c: int,
     dims: tuple[int, ...],
     bras: list[np.ndarray],
     kets: list[np.ndarray],
@@ -197,10 +195,10 @@ def ascend(
     """Alternating ascent of every start of every operator at once, with
     guarded Anderson mixing of the sweep map.
 
-    Factors are (starts, dim) arrays; row b is a start for operator
-    xs[who[b]], and `who` is non-decreasing, so the starts of one operator
-    are contiguous. A sweep F (`sweep`) fits all bra factors, then all ket
-    factors; a start's factors, side by side, form its point x. Per start:
+    Factors are (starts, dim) arrays: rows k c to (k + 1) c - 1 are the
+    starts of operator xs[k]. A sweep F (`sweep`) fits all bra factors,
+    then all ket factors; a start's factors, side by side, form its point
+    x. Per start:
 
     * the sweep y = F(x) is accepted when |overlap(y)| is at least `best`,
       the start's best accepted value (at first, that of the start itself);
@@ -226,22 +224,23 @@ def ascend(
     best accepted point. An operator's rows leave the batch together, once
     all its starts have stopped, and only then are the results of its
     starts written out and the grid of the products (`block_grid`) rebuilt.
-    So every operator in the batch has all its starts, its rows are a run
-    that the products take as a view (`block_product`), and its starts
-    sweep alike whichever operators share the batch.
+    So every operator in the batch has all its c starts, each run of
+    consecutive operators in the batch is a run of rows that the products
+    take as a view (`block_product`), and an operator's starts sweep alike
+    whichever operators share the batch.
 
     Updates the factors in place and returns them with the complex overlap,
     sweep count and convergence flag of every start.
     """
     cuts = _plan(dims)[0]
-    grid = block_grid(who, xs)
+    ops = np.arange(len(xs))  # the operators in the batch
+    grid = block_grid(ops, c)
     w = block_product(row_kron([a.conj() for a in bras]), xs, grid)
     value = np.einsum("bc,bc->b", w, row_kron(kets))
     del w
     sweeps = np.full(value.size, max_iters)  # until a start converges
     converged = np.zeros(value.size, dtype=bool)
-    live, owner = np.arange(who.size), who
-    left = np.bincount(who, minlength=len(xs))  # starts not stopped, per operator
+    live = np.arange(value.size)  # the rows in the batch
     factors = bras + kets
     # Per start in the batch: the point z that the sweep fits in place; the
     # point x it swept from; the best accepted point; and
@@ -283,22 +282,23 @@ def ascend(
         converged[live[done]] = True
         sweeps[live[done]] = it
         best[done] = np.inf  # frozen
-        left -= np.bincount(owner[done], minlength=left.size)
-        keep = left[owner] > 0 if it < max_iters else np.zeros(live.size, dtype=bool)
-        if keep.all():
+        # before the last sweep, a start stops only by converging
+        stays = ~converged.reshape(-1, c)[ops].all(axis=1) & (it < max_iters)
+        if stays.all():
             continue
+        keep = np.repeat(stays, c)
         gone = ~keep
         value[live[gone]] = best_value[gone]
         for out, a in zip(factors, _columns(best_y[gone], cuts)):
             out[live[gone]] = a
-        if not keep.any():
+        if not stays.any():
             break
         z = z[keep]  # one array at a time, which bounds the peak memory
         x = x[keep]
         best_y = best_y[keep]
         hist = hist[:, keep]
         best_value, best = best_value[keep], best[keep]
-        live, owner = live[keep], owner[keep]
+        live, ops = live[keep], ops[stays]
         dr, dx, r = hist
-        grid = block_grid(owner, xs)
+        grid = block_grid(ops, c)
     return bras, kets, value, sweeps, converged

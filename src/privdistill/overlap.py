@@ -10,7 +10,8 @@ over unit vectors f_k, g_k on the per-party shield factors. `eta_optimize`
 runs multi-start alternating ascent, with guarded Anderson mixing of the
 sweeps (`ascent.ascend`) and all starts advancing as one batch,
 and `optimize_pairs` runs the starts of every key pair of a spec as one
-batch in the same engine, each pair seeded by its key values;
+batch in the same engine, each pair seeded by its key values and every
+operator given the same number of starts (`_stacked_starts`);
 `brute_force_eta` is a deliberately plain one-start-at-a-time
 re-implementation used to cross-check them.
 """
@@ -96,43 +97,39 @@ def _cross_operators(spec: PrivateStateSpec, pairs: list[tuple[int, int]]) -> np
 
 def _stacked_starts(
     xs: np.ndarray, dims: tuple[int, ...], restarts: int, seeds: list
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+) -> tuple[list[np.ndarray], list[np.ndarray], int]:
     """Start factors of every operator of the stack `xs`, as lists of
-    (starts, dim) arrays (bras, kets), and the number of starts of each.
+    (starts, dim) arrays (bras, kets), and c, the starts per operator.
 
-    The starts of xs[k] are contiguous: the basis products at the (up to
-    DETERMINISTIC_STARTS) largest nonzero entries of xs[k], so its result
-    is never below its best entry, then `restarts` random products. These
-    are the rows of one `normal` draw from a generator seeded by seeds[k],
-    split per factor, bras before kets, into the real and then the
-    imaginary part, each factor normalized per row. The entries are sorted
-    in chunks of GATHER_BYTES of operators, which bounds the magnitudes
-    and sort indices held at once; each row is sorted alone either way."""
-    top = np.empty((len(xs), min(DETERMINISTIC_STARTS, xs[0].size)), dtype=np.intp)
-    keep = np.empty(top.shape, dtype=bool)  # a prefix of each row
+    Rows k c to (k + 1) c - 1 are the starts of xs[k]: the basis products
+    at its min(DETERMINISTIC_STARTS, s^2) largest-magnitude entries, zero
+    or not, so its result is never below its best entry, then `restarts`
+    random products. These are the rows of one `normal` draw from a
+    generator seeded by seeds[k], split per factor, bras before kets, into
+    the real and then the imaginary part, each factor normalized per row.
+    The entries are sorted in chunks of GATHER_BYTES of operators, which
+    bounds the magnitudes and sort indices held at once; each row is
+    sorted alone either way."""
+    basis = min(DETERMINISTIC_STARTS, xs[0].size)
+    c = basis + restarts
+    top = np.empty((len(xs), basis), dtype=np.intp)
     step = max(1, GATHER_BYTES // xs[0].nbytes)
     for lo in range(0, len(xs), step):
         magnitudes = np.abs(xs[lo : lo + step]).reshape(-1, xs[0].size)
-        order = np.argsort(magnitudes, axis=1)[:, ::-1][:, :DETERMINISTIC_STARTS]
-        top[lo : lo + step] = order
-        keep[lo : lo + step] = np.take_along_axis(magnitudes, order, axis=1) > 0.0
-    counts = keep.sum(axis=1) + restarts
-    first = np.cumsum(counts) - counts
-    basis_rows = (first[:, None] + np.arange(top.shape[1]))[keep]
-    random_rows = ((first + counts - restarts)[:, None] + np.arange(restarts)).ravel()
-    z = np.concatenate([
+        top[lo : lo + step] = np.argsort(magnitudes, axis=1)[:, ::-1][:, :basis]
+    z = np.stack([
         np.random.default_rng(s).normal(size=(restarts, 4 * sum(dims))) for s in seeds
     ])
     sides, at = [], 0
-    for flat in np.divmod(top[keep], xs.shape[1]):
-        side = [np.zeros((counts.sum(), dim), dtype=complex) for dim in dims]
+    for flat in np.divmod(top, xs.shape[1]):
+        side = [np.zeros((len(xs), c, dim), dtype=complex) for dim in dims]
         for f, idx, dim in zip(side, np.unravel_index(flat, dims), dims):
-            v = z[:, at : at + dim] + 1j * z[:, at + dim : at + 2 * dim]
-            f[basis_rows, idx] = 1.0
-            f[random_rows] = v / np.linalg.norm(v, axis=1, keepdims=True)
+            v = z[..., at : at + dim] + 1j * z[..., at + dim : at + 2 * dim]
+            np.put_along_axis(f[:, :basis], idx[..., None], 1.0, axis=2)
+            f[:, basis:] = v / np.linalg.norm(v, axis=2, keepdims=True)
             at += 2 * dim
-        sides.append(side)
-    return sides[0], sides[1], counts
+        sides.append([f.reshape(-1, f.shape[2]) for f in side])
+    return sides[0], sides[1], c
 
 
 def _check_settings(restarts: int, max_iters: int, conv_tol: float) -> None:
@@ -172,15 +169,13 @@ def _overlaps(
     stack."""
     scale = np.ldexp(1.0, np.frexp(max(xs.view(float).max(), -xs.view(float).min()))[1] - 1)
     xs /= scale  # no copy: the stacks of a tensor power are tens of MB
-    bras, kets, counts = _stacked_starts(xs, dims, restarts, seeds)
-    who = np.repeat(np.arange(len(xs)), counts)
+    bras, kets, c = _stacked_starts(xs, dims, restarts, seeds)
     bras, kets, value, sweeps, converged = ascend(
-        xs, who, dims, bras, kets, max_iters, conv_tol / scale
+        xs, c, dims, bras, kets, max_iters, conv_tol / scale
     )
     value *= scale
     etas = np.abs(value)
-    first = np.cumsum(counts) - counts
-    best = np.lexsort((-etas, who))[first]  # np.argmax over each operator's starts
+    best = etas.reshape(-1, c).argmax(axis=1) + c * np.arange(len(xs))  # per operator
     if etas[best].min() < ETA_FLOOR:
         warnings.warn(
             f"product overlap {etas[best].min():.3e} is below {ETA_FLOOR:.0e}; "
@@ -195,7 +190,7 @@ def _overlaps(
             converged=bool(converged[b]), sweeps=int(sweeps[b]), start_etas=e.tolist(),
         )
         for k, (b, theta, e) in enumerate(
-            zip(best, np.angle(value[best]), np.split(etas, first[1:]))
+            zip(best, np.angle(value[best]), etas.reshape(-1, c))
         )
     ]
     return results, bras, kets
@@ -215,9 +210,8 @@ def eta_optimize(
     largest-magnitude entries of `x` (so the result can never fall below
     the best single entry) and from `restarts` random product starts, all
     starts advancing together as one batch. The result describes the start
-    with the largest overlap (see OverlapResult). A non-finite entry, and
-    an operator with no nonzero entry and no restarts (no start at all),
-    are refused.
+    with the largest overlap (see OverlapResult). A non-finite entry is
+    refused.
     """
     _check_settings(restarts, max_iters, conv_tol)
     x = as_complex(x)
@@ -225,8 +219,6 @@ def eta_optimize(
     total = int(np.prod(dims, dtype=np.int64))
     if x.shape != (total, total):
         raise ValueError(f"operator shape {x.shape} does not match dims {dims}")
-    if restarts == 0 and not x.any():
-        raise ValueError("operator has no nonzero entry and restarts is 0: no start to run")
     return _overlaps(x[None].copy(), dims, restarts, [seed], max_iters, conv_tol)[0][0]
 
 

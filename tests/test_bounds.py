@@ -108,6 +108,26 @@ def test_ed_lower_bound_trivial_shield_is_perfect():
     assert abs(report.best_paper_rate - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("restarts", [0, 3])
+def test_ed_lower_bound_of_a_one_entry_cross_operator(restarts):
+    """Shield |00><00| with U_0 = U_1 = I: the one cross operator is
+    |00><00|, with a single nonzero entry, so three of its four basis
+    starts sit at zero entries. The best one is the optimum: eta = a1 =
+    a2 = 1, and the filter distills a perfect key bit."""
+    shield = validate_state(
+        np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex),
+        layout([("S0", 2, 0, "shield"), ("S1", 2, 1, "shield")]),
+    )
+    identity = UnitaryOp(np.eye(4, dtype=complex))
+    spec = PrivateStateSpec(d=2, parties=2, shield_dims=(2, 2),
+                            unitaries=(identity, identity), shield=shield)
+    report = ed_lower_bound(spec, restarts=restarts, seed=0)
+    (pair,) = report.pairs
+    assert pair.converged
+    for value in (pair.eta, pair.a1, pair.a2, report.best_verified_rate):
+        assert abs(value - 1.0) <= 1e-12
+
+
 def test_ed_lower_bound_enumerates_all_pairs():
     spec = random_spec(3, 2, (2, 2), seed=3)
     report = ed_lower_bound(spec, restarts=8, seed=3)
