@@ -60,6 +60,7 @@ from .serialize import (
     state_to_json,
     write_json,
     write_matrix,
+    write_spec,
 )
 from .states import (
     DensityMatrix,

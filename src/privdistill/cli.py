@@ -38,9 +38,9 @@ from .serialize import (
     read_json,
     report_to_json,
     spec_from_json,
-    spec_to_json,
     write_json,
     write_matrix,
+    write_spec,
     write_text,
 )
 
@@ -93,7 +93,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     spec = random_spec(
         args.d, args.parties, args.shield_dims, args.seed, shield_rank=args.shield_rank
     )
-    write_json(spec_to_json(spec), args.out)
+    write_spec(spec, args.out)
     return 0
 
 

@@ -3,8 +3,11 @@
 Complex matrices are stored row-major as [re, im] pairs. Output is always
 `json.dumps(obj, sort_keys=True, indent=2)` so that identical inputs give
 byte-identical files; nothing time- or host-dependent is ever embedded.
-Dense matrices are written by `write_matrix`, which produces the same bytes
-without the pure-Python indent encoder, in blocks of rows.
+Every file that holds a matrix (a state from `write_matrix`, a spec from
+`write_spec`) is written by one splice routine: `dumps` lays out the file
+with each matrix's data list as a placeholder, and each list is formatted
+in its place, a block of rows at a time, without the pure-Python indent
+encoder. The bytes are those of `dumps` of the whole object.
 
 Sizes read from JSON (dimensions, row and column counts, party indices)
 must be JSON integers: a string, a float or a bool raises ValueError rather
@@ -15,9 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 from numbers import Integral
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -26,15 +30,14 @@ from .private_states import PrivateStateSpec, shield_layout
 from .states import DensityMatrix, validate_state, validate_unitary
 
 
-# Entries per block of rows that `write_matrix` formats at once; bounds the
+# Entries per block of rows that `_data_text` formats at once; bounds the
 # text held in memory while a large matrix is written.
 WRITE_BLOCK = 1 << 15
 
-# One [re, im] entry as `json.dumps(..., indent=2)` lays it out inside the
-# top-level "data" list. `%r` of a float is `float.__repr__`, which is how
-# json writes finite floats.
-_ENTRY = ",\n    [\n      %r,\n      %r\n    ]"
-_ZERO = _ENTRY % (0.0, 0.0)  # an entry whose parts are both +0.0
+# A placeholder data list `[k]` (k: the matrix's index in the list the
+# skeleton was built with) as `dumps` lays it out, at any depth. Strings
+# hold no raw newline, so only a placeholder matches.
+_SLOT = re.compile(r'"data": (\[\n( +)(\d+)\n +\])')
 
 
 def _size(value: Any, what: str) -> int:
@@ -81,18 +84,22 @@ def matrix_to_json(
     return _matrix_obj(mat, lay, mat.view(float).reshape(-1, 2).tolist())
 
 
-def _matrix_text(mat: np.ndarray, lay: SubsystemLayout | None) -> Iterable[str]:
-    """`dumps(matrix_to_json(mat, lay))` in pieces, a block of rows at a time.
+def _data_text(mat: np.ndarray, indent: int) -> Iterator[str]:
+    """`dumps`' text of `mat`'s [re, im] pairs as a list whose entries sit
+    `indent` spaces in, in pieces, a block of rows at a time.
 
     Within a block, each run of entries that are exactly +0.0 + 0.0j (most
     of a private state's entries) is one piece, one repeated string, and
     each run of other entries is one piece, one `%` template.
     """
     if mat.size == 0:
-        yield dumps(matrix_to_json(mat, lay))
+        yield "[]"
         return
-    head, _, tail = dumps(_matrix_obj(mat, lay, [])).partition('"data": []')
-    yield head + '"data": ['
+    pad, inner = "\n" + " " * indent, "\n" + " " * (indent + 2)
+    # `%r` of a float is `float.__repr__`, which is how json writes finite floats
+    entry = f",{pad}[{inner}%r,{inner}%r{pad}]"
+    zero_entry = entry % (0.0, 0.0)
+    yield "["
     step = max(1, WRITE_BLOCK // mat.shape[1])
     for start in range(0, mat.shape[0], step):
         block = mat[start : start + step].ravel()
@@ -103,26 +110,48 @@ def _matrix_text(mat: np.ndarray, lay: SubsystemLayout | None) -> Iterable[str]:
         at = 0
         for lo, hi in zip(edges, edges[1:]):
             if zero[lo]:
-                text = _ZERO * (hi - lo)
+                text = zero_entry * (hi - lo)
             else:
                 end = at + 2 * (hi - lo)
-                text = _ENTRY * (hi - lo) % tuple(flat[at:end])
+                text = entry * (hi - lo) % tuple(flat[at:end])
                 at = end
             yield text[1:] if start == lo == 0 else text  # no comma before the first
-    yield "\n  ]" + tail
+    yield pad[:-2] + "]"
+
+
+def _spliced(text: str, mats: list[np.ndarray]) -> Iterator[str]:
+    """`text` with each placeholder data list replaced by its matrix's."""
+    at = 0
+    for slot in _SLOT.finditer(text):
+        yield text[at : slot.start(1)]
+        yield from _data_text(mats[int(slot[3])], len(slot[2]))
+        at = slot.end(1)
+    yield text[at:]
+
+
+def _write_with_matrices(build: Callable[[Callable], Any], path: str | None) -> None:
+    """Write `dumps(build(matrix_to_json))`, never holding the text whole:
+    `build` gets a `matrix(mat, lay)` that puts a placeholder in each data
+    list, and the lists are formatted into `dumps`' text as it is written.
+    Entries must be finite (json would write NaN, which is not JSON); that
+    is checked before the file is opened."""
+    mats: list[np.ndarray] = []
+
+    def matrix(mat: np.ndarray, lay: SubsystemLayout | None = None) -> dict[str, Any]:
+        mats.append(np.ascontiguousarray(as_complex(mat)))
+        return _matrix_obj(mats[-1], lay, [len(mats) - 1])
+
+    text = dumps(build(matrix))
+    _write_pieces(_spliced(text, mats), path)
 
 
 def write_matrix(
     mat: np.ndarray, lay: SubsystemLayout | None, path: str | None
 ) -> None:
-    """Write `dumps(matrix_to_json(mat, lay))` to a file or stdout.
-
-    The bytes are the same, but the text is formatted a block of rows at a
-    time and never held whole, so memory stays near the matrix's own size.
-    Entries must be finite (json would write NaN, which is not JSON).
-    """
-    mat = np.ascontiguousarray(as_complex(mat))
-    _write_pieces(_matrix_text(mat, lay), path)
+    """Write `dumps(matrix_to_json(mat, lay))` to a file or stdout, in the
+    same bytes but a block of rows at a time, so memory stays near the
+    matrix's own size."""
+    _write_with_matrices(lambda matrix: matrix(mat, lay), path)
 
 
 def matrix_from_json(obj: dict[str, Any]) -> tuple[np.ndarray, SubsystemLayout | None]:
@@ -143,14 +172,26 @@ def state_to_json(state: DensityMatrix) -> dict[str, Any]:
     return matrix_to_json(state.matrix, state.layout)
 
 
-def spec_to_json(spec: PrivateStateSpec) -> dict[str, Any]:
+def _spec_obj(
+    spec: PrivateStateSpec, matrix: Callable[[np.ndarray], dict[str, Any]]
+) -> dict[str, Any]:
     return {
         "d": spec.d,
         "parties": spec.parties,
         "shield_dims": list(spec.shield_dims),
-        "unitaries": [matrix_to_json(u.matrix) for u in spec.unitaries],
-        "shield": matrix_to_json(spec.shield.matrix),
+        "unitaries": [matrix(u.matrix) for u in spec.unitaries],
+        "shield": matrix(spec.shield.matrix),
     }
+
+
+def spec_to_json(spec: PrivateStateSpec) -> dict[str, Any]:
+    return _spec_obj(spec, matrix_to_json)
+
+
+def write_spec(spec: PrivateStateSpec, path: str | None) -> None:
+    """Write `dumps(spec_to_json(spec))` to a file or stdout, in the same
+    bytes but with each matrix streamed as `write_matrix` streams a state."""
+    _write_with_matrices(lambda matrix: _spec_obj(spec, matrix), path)
 
 
 def spec_from_json(obj: dict[str, Any]) -> PrivateStateSpec:
@@ -210,5 +251,10 @@ def _write_pieces(pieces: Iterable[str], path: str | None) -> None:
 
 
 def read_json(path: str) -> Any:
+    """Parse a JSON file; input nested too deeply for the parser raises
+    ValueError, as other malformed JSON does."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from exc

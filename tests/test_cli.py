@@ -8,8 +8,8 @@ from privdistill import cli
 from privdistill.cli import main
 from privdistill.filtering import build_filters, filter_outcomes
 from privdistill.overlap import optimize_pair
-from privdistill.private_states import build_private_state, tensor_power_spec
-from privdistill.serialize import dumps, read_json, spec_from_json, state_to_json
+from privdistill.private_states import build_private_state, random_spec, tensor_power_spec
+from privdistill.serialize import dumps, read_json, spec_from_json, spec_to_json, state_to_json
 
 
 @pytest.fixture()
@@ -31,6 +31,24 @@ def test_gen_to_stdout(capsys):
     assert main(["gen", "--seed", "1"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["parties"] == 2
+
+
+@pytest.mark.parametrize("d,dims,rank,seed", [
+    (2, (6, 6), None, 3),
+    (2, (2, 2, 3), None, 4),
+    (3, (2, 3), 2, 7),
+])
+def test_gen_files_are_the_indent_encoders_bytes(tmp_path, capsys, d, dims, rank, seed):
+    args = ["gen", "--d", str(d), "--parties", str(len(dims)),
+            "--shield-dims", ",".join(map(str, dims)), "--seed", str(seed)]
+    if rank is not None:
+        args += ["--shield-rank", str(rank)]
+    expected = dumps(spec_to_json(random_spec(d, len(dims), dims, seed, shield_rank=rank)))
+    out = tmp_path / "spec.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
+    assert main(args + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_build_command(spec_path, tmp_path):
@@ -411,6 +429,20 @@ def test_malformed_spec_gives_one_line_error(spec_path, tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SPEC_COMMANDS))
+def test_deeply_nested_spec_gives_one_line_error(tmp_path, capsys, command):
+    """The json scanner raises RecursionError here, not a ValueError."""
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100000 + "]" * 100000)
+    out = tmp_path / "out.json"
+    rc = main([command, "--spec", str(bad), "--out", str(out)] + SPEC_COMMANDS[command])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "nested too deeply" in err
     assert err.count("\n") == 1
     assert not out.exists()
 

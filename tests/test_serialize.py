@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from privdistill import serialize
 from privdistill.bounds import ed_lower_bound, ef_certificate
 from privdistill.linalg import layout
-from privdistill.private_states import build_private_state, random_spec, with_shield
+from privdistill.private_states import (
+    PrivateStateSpec,
+    build_private_state,
+    random_spec,
+    with_shield,
+)
 from privdistill.serialize import (
     dumps,
     matrix_from_json,
@@ -24,6 +29,7 @@ from privdistill.serialize import (
     state_to_json,
     write_json,
     write_matrix,
+    write_spec,
 )
 from privdistill.states import StateValidationError, UnitaryOp, validate_state
 
@@ -235,3 +241,76 @@ def test_write_matrix_of_private_states_equals_the_indent_encoder(d, dims, seed,
 def test_dumps_refuses_non_finite_numbers(value):
     with pytest.raises(ValueError):
         dumps({"tol": value})
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("rows,cols", [(0, 0), (1, 1), (3, 2), (5, 4)])
+def test_data_text_at_every_depth_equals_the_indent_encoder(depth, rows, cols):
+    """The data list, nested `depth` lists deep, is laid out as json lays
+    out a nested value: each line after the first indented 2 * depth more;
+    a block of 3 entries makes block edges fall inside the matrix."""
+    rng = np.random.default_rng(depth + rows)
+    mat = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    mat[:, -1:] = 0.0  # a +0.0 run in every row
+    if mat.size:
+        mat[0, 0] = complex(-0.0, 0.0)
+    pairs = mat.view(float).reshape(-1, 2).tolist()
+    expected = json.dumps(pairs, indent=2).replace("\n", "\n" + "  " * depth)
+    with mock.patch.object(serialize, "WRITE_BLOCK", 3):
+        text = "".join(serialize._data_text(mat, 2 * (depth + 1)))
+    assert text == expected
+
+
+def _two_qubit_spec(shield, u1):
+    lay = layout([("S0", 2, 0, "shield"), ("S1", 2, 1, "shield")])
+    return PrivateStateSpec(
+        d=2, parties=2, shield_dims=(2, 2),
+        unitaries=(UnitaryOp(np.eye(4, dtype=complex)), UnitaryOp(u1)),
+        shield=validate_state(shield, lay),
+    )
+
+
+def _bell_shield_spec():
+    """Bell shield twisted by Z on party 0: kron(diag(1, -1), I) has -0.0
+    real parts, which must go through `%r`, not the +0.0 run."""
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    z_i = np.kron(np.diag([1.0, -1.0]).astype(complex), np.eye(2))
+    assert np.signbit(z_i.real[z_i.real == 0]).any()
+    return _two_qubit_spec(np.outer(bell, bell.conj()), z_i)
+
+
+def _one_entry_spec():
+    """Shield |00><00| with identity unitaries: mostly exact-zero runs."""
+    return _two_qubit_spec(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), np.eye(4, dtype=complex))
+
+
+@st.composite
+def random_specs(draw):
+    d = draw(st.integers(2, 4))
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    rank = draw(st.integers(1, int(np.prod(dims))))
+    return random_spec(d, len(dims), dims, seed=draw(st.integers(0, 2**32 - 1)), shield_rank=rank)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=random_specs(), block=st.sampled_from([1, 3, 16, 1 << 15]))
+@example(spec=_bell_shield_spec(), block=1)
+@example(spec=_bell_shield_spec(), block=1 << 15)
+@example(spec=_one_entry_spec(), block=3)
+@example(spec=_one_entry_spec(), block=1 << 15)
+@example(spec=random_spec(2, 2, (1, 3), seed=5), block=2)
+@example(spec=random_spec(3, 3, (1, 1, 1), seed=6), block=1)
+def test_write_spec_bytes_equal_the_indent_encoder(spec, block):
+    """Each matrix of a spec sits at its own depth (the shield two lists
+    deep, each unitary three), and all come out as json writes them."""
+    out = io.StringIO()
+    with mock.patch.object(serialize, "WRITE_BLOCK", block), contextlib.redirect_stdout(out):
+        write_spec(spec, "-")
+    assert out.getvalue() == dumps(spec_to_json(spec))
+
+
+def test_read_json_refuses_deep_nesting_as_a_value_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        read_json(str(path))
