@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import FilterOutcome, build_filters, filter_outcomes, predict_outcome
+from .filtering import FilterOutcome, branch_weights, filter_outcomes, predict_outcome
 from .linalg import CONV_TOL, MAX_ITERS, RESTARTS, von_neumann_entropy
 from .overlap import PairOverlap, optimize_pairs
 from .private_states import PrivateState, PrivateStateSpec, eigenvectors_of_pdit
@@ -94,30 +94,19 @@ def pair_bounds(
     """The record of each key pair (i, j) from its overlap result, and the
     simulated outcome of its filters: one stack for every pair
     (`filter_outcomes`)."""
-    filter_sets = [build_filters(spec, i, j, r) for (i, j), r in zip(pairs, results)]
-    outcomes = filter_outcomes(spec, filter_sets)
+    outcomes = filter_outcomes(spec, pairs, results)
     bounds = []
-    for result, filters, outcome in zip(results, filter_sets, outcomes):
+    for (i, j), result, outcome in zip(pairs, results, outcomes):
         pred = predict_outcome(result, d=spec.d)
-        bounds.append(
-            PairBound(
-                i=filters.i,
-                j=filters.j,
-                eta=result.eta,
-                a1=result.a1,
-                a2=result.a2,
-                theta=result.theta,
-                variant=filters.variant,
-                success_pred=pred.success,
-                success_sim=outcome.success,
-                p_pred=pred.p,
-                p_sim=outcome.p,
-                structure_residual=outcome.residual,
-                paper_rate=max(result.a1, result.a2) * hashing_rate(pred.p),
-                verified_rate=outcome.success * hashing_rate(outcome.p),
-                converged=result.converged,
-            )
-        )
+        bounds.append(PairBound(
+            i=i, j=j, eta=result.eta, a1=result.a1, a2=result.a2, theta=result.theta,
+            variant=branch_weights(result)[2],
+            success_pred=pred.success, success_sim=outcome.success,
+            p_pred=pred.p, p_sim=outcome.p, structure_residual=outcome.residual,
+            paper_rate=max(result.a1, result.a2) * hashing_rate(pred.p),
+            verified_rate=outcome.success * hashing_rate(outcome.p),
+            converged=result.converged,
+        ))
     return bounds, outcomes
 
 
@@ -146,7 +135,8 @@ def ed_lower_bound(
 
     One stacked pass over all key pairs i < j: one ascent runs the starts
     of every pair (`optimize_pairs`), and one stack simulates every pair's
-    filters from the spec (`pair_bounds`, no dense state). Each pair
+    filters from the pull-back of its product vectors (`pair_bounds`, with
+    no dense state and no filter bank). Each pair
     records its verified and paper rates (see PairBound). Pairs whose
     ascent never converged are kept but excluded from the best-pair choice.
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import factor_permutation, kron_all, layout
-from .overlap import PairOverlap
+from .overlap import PairOverlap, pullback
 from .private_states import PrivateState, PrivateStateSpec
 from .states import DensityMatrix, bell_vector, check_states
 
@@ -58,9 +58,20 @@ class PredictedOutcome:
     p: float
 
 
+def branch_weights(result: PairOverlap) -> tuple[float, complex, str]:
+    """Party 0's weights of the key-i and key-j branches, sqrt(m/a1) and
+    sqrt(m/a2) e^{i theta} with m = min(a1, a2), and the label of the
+    weighted branch: "V" (key j) if a2 >= a1, else "W"."""
+    a1, a2 = result.a1, result.a2
+    if min(a1, a2) <= 0.0:
+        raise FilterError(f"branch weights a1={a1:.3e}, a2={a2:.3e} must be positive to filter")
+    m = min(a1, a2)
+    return np.sqrt(m / a1), np.sqrt(m / a2) * np.exp(1j * result.theta), "V" if a2 >= a1 else "W"
+
+
 def build_filters(spec, i: int, j: int, result: PairOverlap) -> FilterSet:
     """Filter bank for key pair (i, j) from the pair's overlap result, with
-    party 0's branch weights as in the module docstring."""
+    party 0's branch weights from `branch_weights`."""
     if i == j:
         raise ValueError("a filter needs two distinct key values")
     if len(result.bra_vectors) != spec.parties:
@@ -68,15 +79,7 @@ def build_filters(spec, i: int, j: int, result: PairOverlap) -> FilterSet:
             f"overlap result has {len(result.bra_vectors)} product factors, "
             f"spec has {spec.parties} parties"
         )
-    a1, a2 = result.a1, result.a2
-    if min(a1, a2) <= 0.0:
-        raise FilterError(
-            f"branch weights a1={a1:.3e}, a2={a2:.3e} must be positive to filter"
-        )
-    m = min(a1, a2)
-    bra_weight = np.sqrt(m / a1)
-    ket_weight = np.sqrt(m / a2) * np.exp(1j * result.theta)
-
+    bra_weight, ket_weight, variant = branch_weights(result)
     ops = []
     for k, (bra, ket) in enumerate(zip(result.bra_vectors, result.ket_vectors)):
         s = bra.shape[0]
@@ -84,7 +87,7 @@ def build_filters(spec, i: int, j: int, result: PairOverlap) -> FilterSet:
         op[0, i * s : (i + 1) * s] = (bra_weight if k == 0 else 1.0) * bra.conj()
         op[1, j * s : (j + 1) * s] = (ket_weight if k == 0 else 1.0) * ket.conj()
         ops.append(op)
-    return FilterSet(party_ops=tuple(ops), variant="V" if a2 >= a1 else "W", i=i, j=j)
+    return FilterSet(party_ops=tuple(ops), variant=variant, i=i, j=j)
 
 
 def apply_filter(state: PrivateState, filters: FilterSet) -> FilterOutcome:
@@ -106,36 +109,30 @@ def apply_filter(state: PrivateState, filters: FilterSet) -> FilterOutcome:
 
 
 def filter_outcomes(
-    spec: PrivateStateSpec, filter_sets: list[FilterSet]
+    spec: PrivateStateSpec, pairs: list[tuple[int, int]], results: list[PairOverlap]
 ) -> list[FilterOutcome]:
-    """The outcome of `apply_filter` for every filter bank, as one stack.
+    """The outcome of `apply_filter` for every key pair (i, j) of `pairs`,
+    filtered with the product vectors of its overlap result, as one stack.
 
     The state is (1/d) sum_{a,b} |a..a><b..b| (x) U_a rho U_b^dagger, and
-    a product filter maps |a..a> (x) phi to K_a phi, where K_a is the
-    Kronecker product over the parties of the columns of their filters
-    that belong to key value a. K_a is zero unless a is one of the two key
-    values i, j the filter keeps, so the filtered state is
-
-        (1/d) Z rho Z^dagger,   Z = K_i U_i + K_j U_j   (2^N x s),
-
-    with no D x D matrix, and K_a U_a is one batched matmul per key value.
+    the product filter maps |i..i> (x) phi to w_i <f|phi> |0..0> and
+    |j..j> (x) phi to w_j <g|phi> |1..1>, for the product vectors f, g and
+    party 0's weights w (`branch_weights`); every other key string goes to
+    zero. So the filtered state is (1/d) W Y rho Y^dagger W^dagger on the
+    corners |0..0>, |1..1>, with W = diag(w_i, w_j) and the pull-back Y
+    (`overlap.pullback`): no D x D matrix, and O(s^2) per pair whatever N.
     """
-    count, n = len(filter_sets), spec.parties
-    ops = [  # (count, 2, d, s_k) per party
-        np.array([f.party_ops[k] for f in filter_sets]).reshape(count, 2, spec.d, -1)
-        for k in range(n)
+    n = spec.parties
+    factors = [
+        [np.array([getattr(r, side)[k] for r in results]) for k in range(n)]
+        for side in ("bra_vectors", "ket_vectors")
     ]
-    z = np.zeros((count, 2**n, spec.shield_total_dim), dtype=complex)
-    for keys in (np.array([f.i for f in filter_sets]), np.array([f.j for f in filter_sets])):
-        blocks = [op[np.arange(count), :, keys] for op in ops]  # each bank's key columns
-        k_a = blocks[0]
-        for b in blocks[1:]:  # row-wise Kronecker product, as `kron_all`
-            k_a = k_a[:, :, None, :, None] * b[:, None, :, None, :]
-            k_a = k_a.reshape(count, k_a.shape[1] * 2, -1)
-        for a in np.flatnonzero(np.bincount(keys)):
-            rows = keys == a
-            z[rows] += k_a[rows] @ spec.unitaries[a].matrix
-    out = z @ spec.shield.matrix @ z.conj().transpose(0, 2, 1) / spec.d
+    w = np.array([branch_weights(r)[:2] for r in results])
+    y = w[:, :, None] * pullback(spec, pairs, *factors)
+    block = y @ spec.shield.matrix @ y.conj().transpose(0, 2, 1)
+    corners = np.array([0, 2**n - 1])
+    out = np.zeros((len(results), 2**n, 2**n), dtype=complex)
+    out[:, corners[:, None], corners] = block / spec.d
     return _outcomes(out, n)
 
 
@@ -172,11 +169,8 @@ def predict_outcome(result: PairOverlap, d: int) -> PredictedOutcome:
     weight min(a1, a2)/d, so the success probability is (2/d) min(a1, a2).
     The + Bell state carries p = 1/2 + eta / (2 sqrt(a1 a2)).
     """
+    branch_weights(result)  # refuses a weight that is not positive
     a1, a2 = result.a1, result.a2
-    if min(a1, a2) <= 0.0:
-        raise FilterError(
-            f"branch weights a1={a1:.3e}, a2={a2:.3e} must be positive to filter"
-        )
     success = (2.0 / d) * min(a1, a2)
     p = float(0.5 + result.eta / (2.0 * np.sqrt(a1 * a2)))
     if p > 1.0 + 1e-9:

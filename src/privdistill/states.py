@@ -39,7 +39,8 @@ class DensityMatrix:
     """Hermitian PSD unit-trace matrix tagged with a subsystem layout.
 
     Made by `validate_state`, which checks those invariants, and by
-    `build_private_state`, whose output has them by construction.
+    `build_private_state` and `tensor_power_spec`, whose outputs have them
+    by construction.
     """
 
     matrix: np.ndarray

@@ -6,10 +6,14 @@ import pytest
 from conftest import BITWISE_BLAS
 from privdistill import cli
 from privdistill.cli import main
-from privdistill.filtering import build_filters, filter_outcomes
+from privdistill.filtering import filter_outcomes
 from privdistill.overlap import optimize_pair
-from privdistill.private_states import build_private_state, random_spec, tensor_power_spec
-from privdistill.serialize import dumps, read_json, spec_from_json, spec_to_json, state_to_json
+from privdistill.private_states import (
+    build_private_state, random_spec, tensor_power_spec, with_shield,
+)
+from privdistill.serialize import (
+    dumps, read_json, spec_from_json, spec_to_json, state_to_json, write_spec,
+)
 
 
 @pytest.fixture()
@@ -65,13 +69,29 @@ def test_build_tensor_power(spec_path, tmp_path):
     assert read_json(str(out))["rows"] == 256
 
 
+def test_build_power_of_a_shield_with_trace_error_within_tolerance(tmp_path):
+    """A shield of trace 1 + 7e-11 is accepted (TRACE_TOL 1e-10). Its
+    square has trace 1 + 1.4e-10, yet it is a state: `build --power 2`
+    must write it, not refuse it with `unit trace violated`."""
+    spec = random_spec(2, 2, (2, 2), seed=11)
+    spec = with_shield(spec, spec.shield.matrix * (1 + 7e-11))
+    path = tmp_path / "spec.json"
+    write_spec(spec, str(path))
+    assert spec_from_json(read_json(str(path))).shield.matrix.trace().real > 1 + 6e-11
+    out = tmp_path / "state2.json"
+    assert main(["build", "--spec", str(path), "--power", "2", "--out", str(out)]) == 0
+    assert read_json(str(out))["rows"] == 256
+    power_spec, _ = tensor_power_spec(spec, 2)
+    assert abs(power_spec.shield.matrix.trace().real - (1 + 1.4e-10)) < 1e-12
+
+
 def test_dense_state_files_are_the_indent_encoders_bytes(spec_path, tmp_path):
     """`build`, `build --power 2` and `distill --post-out` write exactly
     `dumps(state_to_json(...))` of the state they compute."""
     spec = spec_from_json(read_json(spec_path))
     power_spec, _ = tensor_power_spec(spec, 2)
     result = optimize_pair(spec, 0, 1, restarts=6, seed=3)
-    post = filter_outcomes(spec, [build_filters(spec, 0, 1, result)])[0].state
+    post = filter_outcomes(spec, [(0, 1)], [result])[0].state
     runs = [
         (["build", "--spec", spec_path, "--out"], build_private_state(spec).rho),
         (["build", "--spec", spec_path, "--power", "2", "--out"],

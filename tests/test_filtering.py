@@ -181,11 +181,17 @@ def test_build_filters_needs_two_key_values():
 def test_every_party_filter_is_a_contraction(d, dims, seed):
     """Each party's filter F satisfies F F^dagger <= I (spectral norm <= 1),
     so it is one outcome of a local operation, on every ordered key pair:
-    (i, j) and (j, i) swap a1 and a2, so both labels occur."""
+    (i, j) and (j, i) swap a1 and a2, so both labels occur. The branch
+    weights are a1 = <f|U_i rho U_i^dagger|f> and a2 = <g|U_j rho U_j^dagger|g>."""
     assume(d ** len(dims) * int(np.prod(dims)) <= 512)
     spec = random_spec(d, len(dims), tuple(dims), seed=seed)
+    rho = spec.shield.matrix
     pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
     for (i, j), res in zip(pairs, optimize_pairs(spec, pairs, restarts=2, seed=seed)):
+        f, g = kron_all(res.bra_vectors), kron_all(res.ket_vectors)
+        ui, uj = spec.unitaries[i].matrix, spec.unitaries[j].matrix
+        assert abs(res.a1 - np.vdot(f, ui @ rho @ ui.conj().T @ f).real) <= 1e-13
+        assert abs(res.a2 - np.vdot(g, uj @ rho @ uj.conj().T @ g).real) <= 1e-13
         filters = build_filters(spec, i, j, res)
         assert filters.variant == ("V" if res.a2 >= res.a1 else "W")
         for op in filters.party_ops:
@@ -221,8 +227,11 @@ def test_simulated_outcome_identities_on_generated_specs(d, dims, seed, data):
     data=st.data(),
 )
 def test_filter_outcome_matches_dense_filter(d, dims, rank_fraction, seed, data):
-    """The block formula (1/d) Z rho Z^dagger gives the outcome of the dense
-    filter: success, p, residual and the post-filter state agree to 1e-14."""
+    """The corner formula (1/d) W Y rho Y^dagger W^dagger gives the outcome
+    of the dense filter: success, p, residual and the post-filter state
+    agree to 1e-14. The dense post-filter state has no entry above 1e-15
+    outside the rows and columns of |0..0> and |1..1>, where the corner
+    formula puts all of it."""
     assume(d ** len(dims) * int(np.prod(dims)) <= 512)
     i, j = data.draw(st.permutations(range(d)))[:2]
     rank = max(1, round(rank_fraction * int(np.prod(dims))))
@@ -233,7 +242,11 @@ def test_filter_outcome_matches_dense_filter(d, dims, rank_fraction, seed, data)
         dense = apply_filter(build_private_state(spec), filters)
     except FilterError:
         assume(False)
-    fast = filter_outcomes(spec, [filters])[0]
+    fast = filter_outcomes(spec, [(i, j)], [res])[0]
+    inside = np.ones(dense.state.dim, dtype=bool)
+    inside[[0, -1]] = False
+    assert np.abs(dense.state.matrix[inside]).max(initial=0.0) <= 1e-15
+    assert np.abs(dense.state.matrix[:, inside]).max(initial=0.0) <= 1e-15
     assert abs(fast.success - dense.success) <= 1e-14
     assert abs(fast.p - dense.p) <= 1e-14
     assert abs(fast.residual - dense.residual) <= 1e-14
@@ -262,7 +275,7 @@ def test_filter_outcomes_of_every_pair_match_dense_filters(d, dims, rank_fractio
     except FilterError:
         assume(False)
     state = build_private_state(spec)
-    outcomes = filter_outcomes(spec, filter_sets)
+    outcomes = filter_outcomes(spec, pairs, results)
     assert len(outcomes) == len(pairs)
     for filters, fast in zip(filter_sets, outcomes):
         dense = apply_filter(state, filters)
