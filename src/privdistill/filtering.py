@@ -121,6 +121,9 @@ def filter_outcomes(
     zero. So the filtered state is (1/d) W Y rho Y^dagger W^dagger on the
     corners |0..0>, |1..1>, with W = diag(w_i, w_j) and the pull-back Y
     (`overlap.pullback`): no D x D matrix, and O(s^2) per pair whatever N.
+    The states are checked and measured on that 2 x 2 corner block, the
+    only one that can be nonzero, and placed on the 2^N x 2^N key space
+    only for `FilterOutcome.state`.
     """
     n = spec.parties
     factors = [
@@ -130,17 +133,16 @@ def filter_outcomes(
     w = np.array([branch_weights(r)[:2] for r in results])
     y = w[:, :, None] * pullback(spec, pairs, *factors)
     block = y @ spec.shield.matrix @ y.conj().transpose(0, 2, 1)
-    corners = np.array([0, 2**n - 1])
-    out = np.zeros((len(results), 2**n, 2**n), dtype=complex)
-    out[:, corners[:, None], corners] = block / spec.d
-    return _outcomes(out, n)
+    return _outcomes(block / spec.d, n)
 
 
 def _outcomes(out: np.ndarray, n: int) -> list[FilterOutcome]:
-    """Statistics of each filtered, unnormalized state of the stack `out`
-    on N key bits. `residual` is the largest entrywise deviation of a
-    surviving state from p P_+ + (1-p) P_-, the mixture of the two Bell
-    projectors it should equal exactly."""
+    """Statistics of each filtered, unnormalized state of the stack `out`,
+    given on N key bits (2^N x 2^N) or on their corners |0..0>, |1..1>
+    alone (2 x 2; N >= 2, so the two shapes never meet). `residual` is the
+    largest entrywise deviation of a surviving state from
+    p P_+ + (1-p) P_-, the mixture of the two Bell projectors it should
+    equal exactly; off the corners both are zero."""
     success = np.trace(out, axis1=1, axis2=2).real
     if success.min() <= SUCCESS_FLOOR:
         raise FilterError(f"filter success probability {success.min():.3e} is ~ 0")
@@ -149,12 +151,18 @@ def _outcomes(out: np.ndarray, n: int) -> list[FilterOutcome]:
     post = (post + post.conj().transpose(0, 2, 1)) / 2
     check_states(post)
 
-    plus = bell_vector(+1, 0, 1, 2, n)
-    minus = bell_vector(-1, 0, 1, 2, n)
+    bits = 1 if post.shape[1] == 2 else n
+    plus = bell_vector(+1, 0, 1, 2, bits)
+    minus = bell_vector(-1, 0, 1, 2, bits)
     p = ((plus.conj() @ post)[:, None, :] @ plus[:, None]).real.ravel()
     bell_plus, bell_minus = np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
     target = p[:, None, None] * bell_plus + (1 - p)[:, None, None] * bell_minus
     residual = np.abs(post - target).max(axis=(1, 2))
+    if bits == 1:
+        corners = np.array([0, 2**n - 1])
+        full = np.zeros((len(post), 2**n, 2**n), dtype=complex)
+        full[:, corners[:, None], corners] = post
+        post = full
     out_layout = layout([(f"K{k}", 2, k, "key") for k in range(n)])
     return [
         FilterOutcome(DensityMatrix(m, out_layout), float(w), float(q), float(r))

@@ -11,6 +11,8 @@ Each party k owns the pair (key_k, shield_k).
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,14 @@ from .linalg import (
     kron_all,
     layout,
 )
-from .states import DensityMatrix, UnitaryOp, random_density, random_unitary, validate_state
+from .states import (
+    UNITARY_TOL,
+    DensityMatrix,
+    UnitaryOp,
+    random_density,
+    random_unitary,
+    validate_state,
+)
 
 EIGENVALUE_CUTOFF = 1e-12  # below this a shield eigenvalue counts as zero
 DEFAULT_DIM_CAP = 4096  # largest D for which a dense D x D state is built
@@ -154,13 +163,25 @@ def build_private_state(spec: PrivateStateSpec) -> PrivateState:
     d, n = spec.d, spec.parties
     key_dim = d**n
     s = spec.shield_total_dim
-    rho = np.zeros((key_dim * s, key_dim * s), dtype=complex)
+    dim = key_dim * s
+    # Repeated same-size `np.zeros` calls reuse dirty heap memory, which is
+    # memset and stays resident whole. A private anonymous map gives pages
+    # that the kernel zeroes on first write, so only the rows of the d^2 key
+    # blocks are ever resident; reading the rest maps the shared zero page.
+    if hasattr(mmap, "MAP_PRIVATE"):
+        buf = mmap.mmap(-1, dim * dim * np.dtype(complex).itemsize, flags=mmap.MAP_PRIVATE)
+        rho = np.frombuffer(buf, dtype=complex).reshape(dim, dim)
+    else:
+        rho = np.zeros((dim, dim), dtype=complex)
     us = np.array([u.matrix for u in spec.unitaries])
     # Block (i, j) is U_i rho U_j^dagger / d: one batched product, each
-    # block the same BLAS calls as `ui @ shield @ uj.conj().T` alone.
+    # block the same BLAS calls as `ui @ shield @ uj.conj().T` alone. The
+    # key strings |a..a> are every `rep`-th key index, so the d^2 blocks are
+    # a strided view of the matrix and are written in place.
     cross = (us @ spec.shield.matrix)[:, None] @ us.conj().transpose(0, 2, 1)[None]
-    keys = repeated_key_index(np.arange(d), d, n)
-    rho.reshape(key_dim, s, key_dim, s)[keys[:, None], :, keys[None, :], :] = cross / d
+    rep = repeated_key_index(1, d, n)
+    blocks = rho.reshape(key_dim, s, key_dim, s)[::rep, :, ::rep, :]
+    np.divide(cross.transpose(0, 2, 1, 3), d, out=blocks)
     # No dense check: the spectrum is the shield's (see eigenvectors_of_pdit),
     # and the shield and unitaries were checked when the spec was made.
     return PrivateState(spec=spec, rho=DensityMatrix(rho, spec.state_layout()))
@@ -220,11 +241,18 @@ def tensor_power_spec(spec: PrivateStateSpec, m: int) -> tuple[PrivateStateSpec,
     shield_power = kron_all([spec.shield.matrix] * m)[np.ix_(q, q)]
     new_shield = DensityMatrix(shield_power, shield_layout(new_dims))
 
+    # Each factor has U^dagger U = I + E with ||E||_F <= tau, so the power's
+    # defect ||(x)_k (I + E_k) - I||_F is at most (sqrt(s) + tau)^m - s^(m/2)
+    # (expand the product; ||I_s||_F = sqrt(s)), formed here without the
+    # cancellation. A check against tau itself would refuse powers of
+    # accepted unitaries.
+    s = spec.shield_total_dim
+    tol = s ** (m / 2) * math.expm1(m * math.log1p(UNITARY_TOL / math.sqrt(s)))
     unitaries = []
     for big in range(d**m):
         # the key values of the m copies: big-endian, copy 0 the most significant digit
         u = kron_all([spec.unitaries[i].matrix for i in np.unravel_index(big, (d,) * m)])
-        unitaries.append(UnitaryOp(matrix=u[np.ix_(q, q)]))
+        unitaries.append(UnitaryOp(matrix=u[np.ix_(q, q)], tol=tol))
 
     power_spec = PrivateStateSpec(
         d=d**m,

@@ -7,7 +7,7 @@ Wishart densities G G^dagger / Tr. Every generator takes an explicit seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -56,22 +56,24 @@ UNITARY_TOL = 1e-10  # Frobenius norm of U^dagger U - I
 
 @dataclass(frozen=True)
 class UnitaryOp:
-    """Square matrix with U^dagger U = I within UNITARY_TOL (Frobenius).
+    """Square matrix with U^dagger U = I within `tol` (Frobenius), by
+    default UNITARY_TOL.
 
-    Checked on construction, so every spec holds only unitaries.
+    Checked on construction, so every spec holds only unitaries. `tol` is
+    not stored; only `tensor_power_spec` passes one, the bound that its
+    factors' tolerance implies for their Kronecker product.
     """
 
     matrix: np.ndarray
+    tol: InitVar[float] = UNITARY_TOL
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, tol: float) -> None:
         mat = self.matrix
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"unitary must be square, got shape {mat.shape}")
         defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if not defect <= UNITARY_TOL:
-            raise ValueError(
-                f"matrix is not unitary (defect {defect:.3e} > {UNITARY_TOL:g})"
-            )
+        if not defect <= tol:
+            raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {tol:.3g})")
 
     @property
     def dim(self) -> int:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from privdistill.filtering import (
@@ -261,10 +261,13 @@ def test_filter_outcome_matches_dense_filter(d, dims, rank_fraction, seed, data)
     rank_fraction=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(d=2, dims=[1, 1, 1, 1, 2, 2], rank_fraction=1.0, seed=1)
 def test_filter_outcomes_of_every_pair_match_dense_filters(d, dims, rank_fraction, seed):
     """One stacked `filter_outcomes` over all key pairs of a spec gives each
     pair the outcome of the dense filter: success, p, residual and the
-    post-filter state agree to 1e-13."""
+    post-filter state agree to 1e-13. `filter_outcomes` checks and measures
+    the 2 x 2 corner block only, so the example with N = 6 (D = 256) holds
+    it to the dense 64 x 64 outcome of `apply_filter`."""
     assume(d ** len(dims) * int(np.prod(dims)) <= 512)
     rank = max(1, round(rank_fraction * int(np.prod(dims))))
     spec = random_spec(d, len(dims), tuple(dims), seed=seed, shield_rank=rank)

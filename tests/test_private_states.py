@@ -1,7 +1,12 @@
 """Structure of assembled private states and their spectral decomposition."""
 
+import mmap
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from conftest import BITWISE_BLAS
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +22,7 @@ from privdistill.private_states import (
     tensor_power_spec,
     with_shield,
 )
-from privdistill.states import UnitaryOp, validate_state
+from privdistill.states import UNITARY_TOL, UnitaryOp, validate_state
 
 SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
 
@@ -187,6 +192,33 @@ def test_tensor_power_unitaries_are_unitary():
         assert np.abs(u.matrix @ u.matrix.conj().T - np.eye(u.dim)).max() < 1e-12
 
 
+def scaled_unitaries(spec, factor, tol=UNITARY_TOL):
+    return replace(spec, unitaries=tuple(
+        UnitaryOp(u.matrix * factor, tol=tol) for u in spec.unitaries
+    ))
+
+
+def test_tensor_power_of_unitaries_within_tolerance():
+    """Unitaries scaled by 1 + 2e-11 pass at defect 8e-11 <= 1e-10, and
+    their Kronecker squares have defect up to 3.2e-10. The square is checked
+    against the bound its factors' tolerance implies, (2 + 1e-10)^2 - 4 =
+    4e-10 for s = 4, not against 1e-10, which refused it."""
+    spec = scaled_unitaries(random_spec(2, 2, (2, 2), seed=11), 1 + 2e-11)
+    power_spec, _ = tensor_power_spec(spec, 2)
+    defects = [np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(16))
+               for u in power_spec.unitaries]
+    assert UNITARY_TOL < max(defects) <= 4e-10
+
+
+def test_tensor_power_refuses_unitaries_above_the_propagated_bound():
+    """Factors accepted at a looser tolerance (defect 4e-10) give power
+    unitaries above the bound for factors within UNITARY_TOL, so the power
+    is still refused."""
+    spec = scaled_unitaries(random_spec(2, 2, (2, 2), seed=11), 1 + 1e-10, tol=1e-9)
+    with pytest.raises(ValueError, match=r"not unitary \(defect .* > 4e-10\)"):
+        tensor_power_spec(spec, 2)
+
+
 def test_random_spec_determinism_and_rank():
     a = random_spec(2, 2, (2, 2), seed=7)
     b = random_spec(2, 2, (2, 2), seed=7)
@@ -258,3 +290,55 @@ def test_built_state_spectrum_is_the_shields(shape, seed):
     shield = np.linalg.eigvalsh(spec.shield.matrix)
     want = np.sort(np.concatenate([shield, np.zeros(spec.total_dim - shield.size)]))
     assert np.abs(got - want).max() <= 1e-12
+
+
+def blockwise_state(spec):
+    """The private state assembled one key block at a time into np.zeros."""
+    d, n, s = spec.d, spec.parties, spec.shield_total_dim
+    rho = np.zeros((spec.total_dim, spec.total_dim), dtype=complex)
+    shield = spec.shield.matrix
+    for i, ui in enumerate(spec.unitaries):
+        for j, uj in enumerate(spec.unitaries):
+            a, b = repeated_key_index(i, d, n) * s, repeated_key_index(j, d, n) * s
+            rho[a : a + s, b : b + s] = ui.matrix @ shield @ uj.matrix.conj().T / d
+    return rho
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_build_is_the_blockwise_assembly_on_both_allocations(d, dims, seed):
+    """The built matrix equals the block-by-block assembly into np.zeros,
+    bit for bit on a BLAS where that was checked (`BITWISE_BLAS`) and to
+    1e-15 elsewhere; it is exactly zero off the d^2 key blocks, writable,
+    C-contiguous and unchanged by a pickle round trip. All of this holds for
+    the zero-on-demand map and for the np.zeros fallback of platforms
+    without mmap.MAP_PRIVATE."""
+    dims = tuple(dims)
+    spec = random_spec(d, len(dims), dims, seed=seed)
+    assume(spec.total_dim <= 1296)
+    want = blockwise_state(spec)
+    key = np.zeros(d ** len(dims), dtype=bool)
+    key[repeated_key_index(np.arange(d), d, len(dims))] = True
+    rows = np.repeat(key, spec.shield_total_dim)
+    outside = ~np.outer(rows, rows)
+    for mapped in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            if not mapped:
+                mp.delattr(mmap, "MAP_PRIVATE")
+            rho = build_private_state(spec).rho.matrix
+        root = rho
+        while isinstance(root, np.ndarray):
+            root = root.base  # the fallback's matrix owns its memory: None
+        assert isinstance(getattr(root, "obj", None), mmap.mmap) == mapped
+        if BITWISE_BLAS:
+            assert rho.tobytes() == want.tobytes()
+        else:
+            assert np.abs(rho - want).max() <= 1e-15
+        assert not np.any(rho[outside])
+        assert rho.flags.writeable and rho.flags.c_contiguous
+        assert rho.dtype == complex and rho.shape == want.shape
+        assert pickle.loads(pickle.dumps(rho)).tobytes() == rho.tobytes()
