@@ -92,9 +92,9 @@ def pair_bounds(
     results: list[PairOverlap],
 ) -> tuple[list[PairBound], list[FilterOutcome]]:
     """The record of each key pair (i, j) from its overlap result, and the
-    simulated outcome of its filters: one stack for every pair
-    (`filter_outcomes`)."""
-    outcomes = filter_outcomes(spec, pairs, results)
+    simulated outcome of its filters: one stack for every pair, formed from
+    the Gram blocks of `results` alone (`filter_outcomes`)."""
+    outcomes = filter_outcomes(spec, results)
     bounds = []
     for (i, j), result, outcome in zip(pairs, results, outcomes):
         pred = predict_outcome(result, d=spec.d)
@@ -134,9 +134,9 @@ def ed_lower_bound(
     """Filtering-protocol lower bound on distillable entanglement.
 
     One stacked pass over all key pairs i < j: one ascent runs the starts
-    of every pair (`optimize_pairs`), and one stack simulates every pair's
-    filters from the pull-back of its product vectors (`pair_bounds`, with
-    no dense state and no filter bank). Each pair
+    of every pair and forms its block G = Y rho Y^dagger (`optimize_pairs`),
+    and one stack simulates every pair's filters from G alone (`pair_bounds`,
+    with no dense state, no filter bank and no second pull-back). Each pair
     records its verified and paper rates (see PairBound). Pairs whose
     ascent never converged are kept but excluded from the best-pair choice.
 
@@ -204,8 +204,8 @@ def ef_certificate(
 
     where Xi_j is the party-0 reduction of the j-th shield branch. Each
     sample checks both the entropy margin and the identity between the
-    directly computed entropy and the block formula; the first violation is
-    returned as a witness.
+    directly computed entropy and the block formula to within `tol`, which
+    must be finite and >= 0; the first violation is returned as a witness.
 
     Samples are drawn and checked CERT_BLOCK at a time. With psi reshaped
     to M of shape (d s_a, d s_b), rows (K0, S0) and columns (K1, S1), the
@@ -216,8 +216,8 @@ def ef_certificate(
         raise ValueError("the formation certificate applies to two parties")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    if not np.isfinite(tol):  # NaN or an infinite tol would pass any state
-        raise ValueError(f"tol must be finite, got {tol}")
+    if not 0.0 <= tol < np.inf:  # NaN or inf passes any state, tol < 0 fails any
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     pairs = eigenvectors_of_pdit(spec)
     if not pairs:
         raise ValueError("state has numerically empty range")

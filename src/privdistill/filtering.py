@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import factor_permutation, kron_all, layout
-from .overlap import PairOverlap, pullback
+from .overlap import PairOverlap
 from .private_states import PrivateState, PrivateStateSpec
 from .states import DensityMatrix, bell_vector, check_states
 
@@ -108,32 +108,25 @@ def apply_filter(state: PrivateState, filters: FilterSet) -> FilterOutcome:
     return _outcomes((full @ state.rho.matrix @ full.conj().T)[None], n)[0]
 
 
-def filter_outcomes(
-    spec: PrivateStateSpec, pairs: list[tuple[int, int]], results: list[PairOverlap]
-) -> list[FilterOutcome]:
-    """The outcome of `apply_filter` for every key pair (i, j) of `pairs`,
-    filtered with the product vectors of its overlap result, as one stack.
+def filter_outcomes(spec: PrivateStateSpec, results: list[PairOverlap]) -> list[FilterOutcome]:
+    """The outcome of `apply_filter` for every key pair (i, j) whose overlap
+    result is in `results`, filtered with its product vectors, as one stack.
 
     The state is (1/d) sum_{a,b} |a..a><b..b| (x) U_a rho U_b^dagger, and
     the product filter maps |i..i> (x) phi to w_i <f|phi> |0..0> and
     |j..j> (x) phi to w_j <g|phi> |1..1>, for the product vectors f, g and
     party 0's weights w (`branch_weights`); every other key string goes to
-    zero. So the filtered state is (1/d) W Y rho Y^dagger W^dagger on the
-    corners |0..0>, |1..1>, with W = diag(w_i, w_j) and the pull-back Y
-    (`overlap.pullback`): no D x D matrix, and O(s^2) per pair whatever N.
+    zero. So the filtered state is (1/d) W G W^dagger on the corners
+    |0..0>, |1..1>, with W = diag(w_i, w_j) and the pair's Gram block
+    G = Y rho Y^dagger (`PairOverlap.gram`, formed by `optimize_pairs`):
+    no D x D matrix, no pull-back and O(1) per pair whatever N and s.
     The states are checked and measured on that 2 x 2 corner block, the
     only one that can be nonzero, and placed on the 2^N x 2^N key space
     only for `FilterOutcome.state`.
     """
-    n = spec.parties
-    factors = [
-        [np.array([getattr(r, side)[k] for r in results]) for k in range(n)]
-        for side in ("bra_vectors", "ket_vectors")
-    ]
     w = np.array([branch_weights(r)[:2] for r in results])
-    y = w[:, :, None] * pullback(spec, pairs, *factors)
-    block = y @ spec.shield.matrix @ y.conj().transpose(0, 2, 1)
-    return _outcomes(block / spec.d, n)
+    gram = np.array([r.gram for r in results])
+    return _outcomes(w[:, :, None] * gram * w[:, None, :].conj() / spec.d, spec.parties)
 
 
 def _outcomes(out: np.ndarray, n: int) -> list[FilterOutcome]:

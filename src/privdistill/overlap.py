@@ -62,13 +62,16 @@ class OverlapResult:
 
 @dataclass(frozen=True)
 class PairOverlap(OverlapResult):
-    """Overlap result of a key pair (i, j), with the branch weights the
-    filtering stage needs: a1 = <f|U_i rho U_i^dagger|f> and
-    a2 = <g|U_j rho U_j^dagger|g> for the optimal product vectors f, g.
-    """
+    """Overlap result of a key pair (i, j), with `gram`, the 2 x 2 block
+    Y rho Y^dagger of the pull-back Y of its product vectors f, g
+    (`pullback`): all that the filtering stage reads of the pair.
+    gram[0, 1] = <f|X|g> is the overlap, and the branch weights
+    a1 = <f|U_i rho U_i^dagger|f> and a2 = <g|U_j rho U_j^dagger|g> are
+    its real diagonal."""
 
-    a1: float
-    a2: float
+    gram: np.ndarray
+    a1 = property(lambda self: float(self.gram[0, 0].real))
+    a2 = property(lambda self: float(self.gram[1, 1].real))
 
 
 def cross_operator(spec: PrivateStateSpec, i: int, j: int) -> np.ndarray:
@@ -210,11 +213,13 @@ def eta_optimize(
     largest-magnitude entries of `x` (so the result can never fall below
     the best single entry) and from `restarts` random product starts, all
     starts advancing together as one batch. The result describes the start
-    with the largest overlap (see OverlapResult). A non-finite entry is
-    refused.
+    with the largest overlap (see OverlapResult). A non-finite entry of `x`
+    is refused, and so is an empty `dims` or an entry that is no integer >= 1.
     """
     _check_settings(restarts, max_iters, conv_tol)
     x = as_complex(x)
+    if len(dims) == 0 or not all(isinstance(v, (int, np.integer)) and v >= 1 for v in dims):
+        raise ValueError(f"dims must be a nonempty list of integers >= 1, got {list(dims)}")
     dims = tuple(int(v) for v in dims)
     total = int(np.prod(dims, dtype=np.int64))
     if x.shape != (total, total):
@@ -244,16 +249,15 @@ def optimize_pairs(
     conv_tol: float = CONV_TOL,
     seed: int = 0,
 ) -> list[PairOverlap]:
-    """Cross operator, overlap maximization, and branch weights of every
-    key pair in `pairs`, in one batched ascent.
+    """Cross operator, overlap maximization, and Gram block of every key
+    pair in `pairs`, in one batched ascent.
 
     Pair (i, j) draws its starts from SeedSequence(seed, spawn_key=(i, j)),
     so its result is a function of (spec, seed, i, j) and the settings
     alone, whichever list holds the pair: bit for bit if the BLAS gives
-    equal bits for equal calls (see `ascent.block_product`). The branch
-    weights a1 = <f|U_i rho U_i^dagger|f> and a2 = <g|U_j rho U_j^dagger|g>
-    are the diagonal of Y rho Y^dagger, for the pull-back Y of the pair's
-    product vectors (`pullback`): no s x s operator is formed for them.
+    equal bits for equal calls (see `ascent.block_product`). Each pair's
+    `gram` = Y rho Y^dagger (see PairOverlap) is formed here, once, from the
+    pull-back Y of its product vectors (`pullback`): no s x s operator.
     """
     _check_settings(restarts, max_iters, conv_tol)
     if not pairs:
@@ -264,11 +268,8 @@ def optimize_pairs(
         xs, tuple(spec.shield_dims), restarts, seeds, max_iters, conv_tol
     )
     y = pullback(spec, pairs, bras, kets)
-    weights = (y @ spec.shield.matrix @ y.conj().transpose(0, 2, 1)).real
-    return [
-        PairOverlap(**vars(r), a1=float(w[0, 0]), a2=float(w[1, 1]))
-        for r, w in zip(results, weights)
-    ]
+    grams = y @ spec.shield.matrix @ y.conj().transpose(0, 2, 1)
+    return [PairOverlap(**vars(r), gram=g) for r, g in zip(results, grams)]
 
 
 def pullback(
@@ -279,10 +280,10 @@ def pullback(
     `bras` and `kets` hold the product factors f_k, g_k of every pair, one
     (pairs, s_k) array per party. Row 0 of Y is the conjugate of
     f = f_1 (x) ... (x) f_N times U_i, row 1 that of g times U_j, so
-    Y rho Y^dagger is what the two product vectors see of the pair's key
-    branches. One batched product per key value, of rows that are each
-    their own (1, s) @ (s, s) product: a row gets the same bits in any
-    list of pairs, which a 2-D product of the gathered rows does not.
+    Y rho Y^dagger (`PairOverlap.gram`) is what the two product vectors see
+    of the pair's key branches. One batched product per key value, of rows
+    that are each their own (1, s) @ (s, s) product: a row gets the same bits
+    in any list of pairs, which a 2-D product of the gathered rows does not.
     """
     keys = np.ravel(pairs)  # i, j of pair 0, then of pair 1, ...
     y = np.stack([row_kron(bras), row_kron(kets)], axis=1).conj()

@@ -256,6 +256,25 @@ def test_ef_certificate_refuses_a_non_finite_tol(tol):
         ef_certificate(random_spec(2, 2, (2, 2), seed=0), samples=2, tol=tol)
 
 
+def test_ef_certificate_refuses_a_negative_tol():
+    """A negative tol describes no check: it fails every state, however
+    well it passes. tol = 0 still runs the certificate."""
+    spec = random_spec(2, 2, (2, 2), seed=0)
+    with pytest.raises(ValueError, match=r"^tol must be finite and >= 0, got -1\.0$"):
+        ef_certificate(spec, samples=2, tol=-1.0)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        ef_certificate(spec, samples=2, tol=-1e-300)
+    assert ef_certificate(spec, samples=2, tol=0.0).samples == 2
+
+
+def zero_entropy(monkeypatch):
+    """Make the certificate's entropies read 0 for every state, so every
+    sample misses both the bound and the block identity: a witness."""
+    monkeypatch.setattr(
+        "privdistill.bounds.von_neumann_entropy", lambda rho: np.zeros(rho.shape[:-2])
+    )
+
+
 def test_ef_certificate_determinism():
     spec = random_spec(2, 2, (2, 2), seed=12)
     a = ef_certificate(spec, samples=20, seed=9)
@@ -263,11 +282,12 @@ def test_ef_certificate_determinism():
     assert a == b
 
 
-def test_ef_certificate_failure_path_produces_witness():
-    """An impossible tolerance makes every sample a witness; the report
+def test_ef_certificate_failure_path_produces_witness(monkeypatch):
+    """Entropies that miss the bound make every sample a witness; the report
     records the first one and flips to failed."""
     spec = random_spec(2, 2, (2, 2), seed=3)
-    cert = ef_certificate(spec, samples=10, seed=0, tol=-1.0)
+    zero_entropy(monkeypatch)
+    cert = ef_certificate(spec, samples=10, seed=0)
     assert not cert.passed
     assert cert.witness is not None
     assert cert.witness["sample"] == 0
@@ -317,10 +337,12 @@ def test_ef_certificate_matches_per_sample_loop(d, dims, rank, samples):
     assert cert.min_margin == cert.min_entropy - cert.lower_bound
 
 
-def test_ef_certificate_witness_matches_per_sample_loop():
-    """Same sample index and bit-identical coefficients on the failure path."""
+def test_ef_certificate_witness_matches_per_sample_loop(monkeypatch):
+    """Same sample index and bit-identical coefficients on the failure path
+    (every sample a witness: zero entropies here, tol = -1 in the loop)."""
     spec = random_spec(3, 2, (2, 2), seed=8)
-    cert = ef_certificate(spec, samples=CERT_BLOCK + 3, seed=4, tol=-1.0)
+    zero_entropy(monkeypatch)
+    cert = ef_certificate(spec, samples=CERT_BLOCK + 3, seed=4)
     _, _, _, (index, coefficients) = loop_certificate(spec, CERT_BLOCK + 3, 4, -1.0)
     assert not cert.passed
     assert cert.witness["sample"] == index

@@ -1,6 +1,7 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import BITWISE_BLAS
@@ -91,7 +92,7 @@ def test_dense_state_files_are_the_indent_encoders_bytes(spec_path, tmp_path):
     spec = spec_from_json(read_json(spec_path))
     power_spec, _ = tensor_power_spec(spec, 2)
     result = optimize_pair(spec, 0, 1, restarts=6, seed=3)
-    post = filter_outcomes(spec, [(0, 1)], [result])[0].state
+    post = filter_outcomes(spec, [result])[0].state
     runs = [
         (["build", "--spec", spec_path, "--out"], build_private_state(spec).rho),
         (["build", "--spec", spec_path, "--power", "2", "--out"],
@@ -229,13 +230,34 @@ def test_certify_command(spec_path, tmp_path):
     assert obj["min_margin"] > -1e-9
 
 
-def test_certify_failure_exit_code(spec_path, tmp_path, capsys):
+def test_certify_failure_exit_code(spec_path, tmp_path, capsys, monkeypatch):
+    """Entropies that read 0 for every state miss the bound: exit code 2."""
+    monkeypatch.setattr(
+        "privdistill.bounds.von_neumann_entropy", lambda rho: np.zeros(rho.shape[:-2])
+    )
     out = tmp_path / "cert.json"
     rc = main(["certify", "--spec", spec_path, "--samples", "5",
-               "--seed", "2", "--tol", "-1", "--out", str(out)])
+               "--seed", "2", "--out", str(out)])
     assert rc == 2
     assert read_json(str(out))["passed"] is False
     assert "FAILED" in capsys.readouterr().err
+
+
+def test_certify_refuses_a_negative_tol(spec_path, tmp_path, capsys):
+    """`--tol -1` exits 1 with one `error:` line and writes no report;
+    `--tol 0` still runs a certificate."""
+    out = tmp_path / "cert.json"
+    rc = main(["certify", "--spec", spec_path, "--samples", "5", "--tol", "-1",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: tol must be finite and >= 0, got -1.0\n"
+    assert not out.exists()
+    rc = main(["certify", "--spec", spec_path, "--samples", "5", "--tol", "0",
+               "--out", str(out)])
+    assert rc in (0, 2)
+    obj = read_json(str(out))
+    assert obj["config"]["tol"] == 0.0
+    assert obj["samples"] == 5
 
 
 def test_sweep_depolarize_csv(tmp_path):

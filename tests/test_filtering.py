@@ -51,6 +51,25 @@ def test_swap_shield_pipeline_exact_values():
     assert outcome.residual < 1e-12
 
 
+def test_filter_outcomes_read_only_the_gram_block():
+    """A hand-built result holding the SWAP-shield Gram block
+    [[1, 1], [1, 1]] / 4, with NaN product vectors, gives the closed form of
+    the SWAP-shield pipeline: success 1/4 and p = 1."""
+    spec = two_qubit_shield_spec(np.eye(4) / 4, SWAP)
+    nan = np.full(2, np.nan, dtype=complex)
+    res = PairOverlap(
+        eta=0.25, theta=0.0, bra_vectors=[nan, nan], ket_vectors=[nan, nan],
+        converged=True, sweeps=1, start_etas=[0.25], gram=np.ones((2, 2)) / 4,
+    )
+    (outcome,) = filter_outcomes(spec, [res])
+    assert outcome.success == 0.25
+    assert abs(outcome.p - 1.0) <= 1e-15
+    assert outcome.residual <= 1e-15
+    bell_plus = np.zeros((4, 4))
+    bell_plus[np.ix_([0, 3], [0, 3])] = 0.5
+    assert np.array_equal(outcome.state.matrix, bell_plus)
+
+
 def test_bell_shield_pipeline_rate_half():
     spec = two_qubit_shield_spec(
         np.outer(BELL_PLUS, BELL_PLUS.conj()), np.kron(SZ, np.eye(2))
@@ -139,7 +158,7 @@ def test_build_filters_rejects_zero_branch_weight():
         eta=0.0, theta=0.0,
         bra_vectors=[np.array([1, 0], dtype=complex)] * 2,
         ket_vectors=[np.array([0, 1], dtype=complex)] * 2,
-        converged=True, sweeps=1, start_etas=[0.0], a1=0.0, a2=0.5,
+        converged=True, sweeps=1, start_etas=[0.0], gram=np.diag([0.0, 0.5]),
     )
     spec = random_spec(2, 2, (2, 2), seed=0)
     with pytest.raises(FilterError):
@@ -227,7 +246,7 @@ def test_simulated_outcome_identities_on_generated_specs(d, dims, seed, data):
     data=st.data(),
 )
 def test_filter_outcome_matches_dense_filter(d, dims, rank_fraction, seed, data):
-    """The corner formula (1/d) W Y rho Y^dagger W^dagger gives the outcome
+    """The corner formula (1/d) W G W^dagger gives the outcome
     of the dense filter: success, p, residual and the post-filter state
     agree to 1e-14. The dense post-filter state has no entry above 1e-15
     outside the rows and columns of |0..0> and |1..1>, where the corner
@@ -242,7 +261,7 @@ def test_filter_outcome_matches_dense_filter(d, dims, rank_fraction, seed, data)
         dense = apply_filter(build_private_state(spec), filters)
     except FilterError:
         assume(False)
-    fast = filter_outcomes(spec, [(i, j)], [res])[0]
+    fast = filter_outcomes(spec, [res])[0]
     inside = np.ones(dense.state.dim, dtype=bool)
     inside[[0, -1]] = False
     assert np.abs(dense.state.matrix[inside]).max(initial=0.0) <= 1e-15
@@ -278,7 +297,7 @@ def test_filter_outcomes_of_every_pair_match_dense_filters(d, dims, rank_fractio
     except FilterError:
         assume(False)
     state = build_private_state(spec)
-    outcomes = filter_outcomes(spec, pairs, results)
+    outcomes = filter_outcomes(spec, results)
     assert len(outcomes) == len(pairs)
     for filters, fast in zip(filter_sets, outcomes):
         dense = apply_filter(state, filters)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import BITWISE_BLAS
 from privdistill import overlap
 from privdistill.ascent import ascend, block_grid, block_product, row_kron, sweep
-from privdistill.linalg import CONV_TOL, MAX_ITERS, layout
+from privdistill.linalg import CONV_TOL, MAX_ITERS, kron_all, layout
 from privdistill.overlap import (
     DETERMINISTIC_STARTS,
     ETA_FLOOR,
@@ -152,6 +152,15 @@ def test_eta_optimize_shape_mismatch():
         eta_optimize(np.eye(4), (2, 3))
 
 
+@pytest.mark.parametrize("dims", [[0], [], [2.5], [2, 0]])
+def test_eta_optimize_refuses_dims_that_describe_no_operator(dims):
+    """An empty `dims`, or an entry that is not an integer >= 1, is refused
+    with one message naming `dims`, before the shape check: [0] and [] used
+    to fail inside NumPy, and [2.5] was truncated to 2."""
+    with pytest.raises(ValueError, match=r"^dims must be a nonempty list of integers >= 1"):
+        eta_optimize(np.eye(2), dims)
+
+
 def test_tiny_overlap_warns():
     x = np.diag([1e-10, 0.0]).astype(complex)
     with pytest.warns(UserWarning):
@@ -175,6 +184,33 @@ def test_a_values_against_direct_formula():
     assert type(res.a1) is float and type(res.a2) is float
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.a1 = 0.5
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_block_is_what_the_product_vectors_see(d, dims, seed):
+    """`gram` of each ordered key pair (i, j) is the Hermitian 2 x 2 block
+    of the dense products v_a^dagger U_ka rho U_kb^dagger v_b, with v = (f, g)
+    and k = (i, j); a1, a2 are exactly its real diagonal, and |gram[0, 1]|
+    is eta."""
+    spec = random_spec(d, len(dims), tuple(dims), seed=seed)
+    rho = spec.shield.matrix
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    for (i, j), res in zip(pairs, optimize_pairs(spec, pairs, restarts=2, seed=seed)):
+        gram = res.gram
+        assert gram.shape == (2, 2)
+        assert np.abs(gram - gram.conj().T).max() <= 1e-14
+        vectors = (kron_all(res.bra_vectors), kron_all(res.ket_vectors))
+        branches = [spec.unitaries[k].matrix.conj().T @ v for k, v in zip((i, j), vectors)]
+        dense = np.array([[a.conj() @ rho @ b for b in branches] for a in branches])
+        assert np.abs(gram - dense).max() <= 1e-13
+        assert (res.a1, res.a2) == (gram[0, 0].real, gram[1, 1].real)
+        assert type(res.a1) is float and type(res.a2) is float
+        assert abs(abs(gram[0, 1]) - res.eta) <= 1e-12
 
 
 def test_brute_force_dimension_cap():
