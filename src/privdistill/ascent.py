@@ -2,11 +2,11 @@
 
 Every start of every operator advances at once: the factors of all starts
 are (starts, dim) arrays, and every operator has the same number of
-starts, c, in consecutive rows. The products with the operators are
-batched matmuls, one per run of consecutive operators in the batch
-(`block_grid`, `block_product`), on views: no row or operator is padded
-or copied. Each start mixes its sweeps (guarded Anderson mixing, see
-`ascend`) with arithmetic of its own.
+starts, c, in consecutive rows, in the slot order of the operator stack.
+Each product with the operators is one batched matmul of the rows by the
+stack (`stack_product`): no row or operator is padded. Operators that stop
+leave the stack by swap-remove, so it stays compact. Each start mixes its
+sweeps (guarded Anderson mixing, see `ascend`) with arithmetic of its own.
 
 A sweep (`sweep`) fits each factor in turn to the contraction of the
 operator with all the others, the higher-order power method. That map is
@@ -40,38 +40,17 @@ def row_kron(factors: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def block_grid(ops: np.ndarray, c: int) -> list[tuple[slice, slice]]:
-    """How `block_product` multiplies rows by the operators: the rows are c
-    per operator, for the operators `ops` (increasing), in that order.
+def stack_product(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Row r of the result is rows[r] @ ops[r // c], for rows c per operator.
 
-    The operators are cut into runs of consecutive operators, whose rows
-    are consecutive too. A run is given as the slices of its rows and of
-    its operators.
+    One batched matmul of the (operators, c, dim) rows by the stack. NumPy
+    multiplies each operator of a batch by the same BLAS call, with the
+    same shapes, as the c rows of that operator alone, so each row gets the
+    same bits as when its operator's starts run alone, in any slot of the
+    stack, if the BLAS gives equal bits for equal calls.
     """
-    lo = np.flatnonzero(np.diff(ops, prepend=-2) != 1)  # where a run begins
-    hi = np.append(lo[1:], ops.size)
-    runs = zip(lo.tolist(), hi.tolist(), ops[lo].tolist())
-    return [(slice(c * a, c * b), slice(k, k + b - a)) for a, b, k in runs]
-
-
-def block_product(
-    rows: np.ndarray, ops: np.ndarray, grid: list[tuple[slice, slice]]
-) -> np.ndarray:
-    """Row r of the result is rows[r] @ ops[k], for the operator k holding row r.
-
-    Each run of the grid (`block_grid`) is one batched matmul of its
-    (operators, c, dim) rows by its operators, on views of both and
-    written in place: no row or operator is copied. NumPy multiplies each
-    operator of a batch by the same BLAS call, with the same shapes, as
-    the c rows of that operator alone, so each row gets the same bits as
-    when its operator's starts run alone, if the BLAS gives equal bits for
-    equal calls.
-    """
-    out = np.empty_like(rows)
-    for part, blocks in grid:
-        batch = rows[part].reshape(blocks.stop - blocks.start, -1, rows.shape[1])
-        np.matmul(batch, ops[blocks], out=out[part].reshape(batch.shape))
-    return out
+    batch = rows.reshape(len(ops), len(rows) // max(len(ops), 1), rows.shape[1])
+    return np.matmul(batch, ops).reshape(rows.shape)
 
 
 @functools.cache
@@ -134,9 +113,7 @@ def _contract(t: np.ndarray, chain: list, conjs: list[np.ndarray], out: np.ndarr
     np.einsum(t, axes, conjs[m], conj_axes, kept, out=out)
 
 
-def sweep(
-    xs: np.ndarray, grid: list, dims: tuple[int, ...], z: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
+def sweep(xs: np.ndarray, dims: tuple[int, ...], z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """One sweep of every row, in place: row b of z is a point, its bra
     factors then its ket factors side by side. `scratch`, of z's shape and
     type, holds the conjugates of z and then the squares of its raw factors.
@@ -160,11 +137,11 @@ def sweep(
     for factors, cols, offsets, owner in groups:
         for k in factors:
             if k == 0:  # row b is (x g_b)^T
-                t = block_product(row_kron(f[n:]), xs.transpose(0, 2, 1), grid)
+                t = stack_product(row_kron(f[n:]), xs.transpose(0, 2, 1))
                 t = t.reshape((t.shape[0],) + dims)
             elif k == n:  # row b is (x^dagger f_b)^T
                 del t  # one row per start, like this one: free it before the product
-                t = block_product(row_kron(f_conj[:n]), xs, grid)
+                t = stack_product(row_kron(f_conj[:n]), xs)
                 t = np.conjugate(t, out=t).reshape((t.shape[0],) + dims)
             _contract(t, chains[k % n], f_conj[n:] if k >= n else f_conj[:n], f[k])
             if k != factors[-1]:
@@ -223,19 +200,21 @@ def ascend(
     of it is accepted or passes the test, and each sweeps again from its
     best accepted point. An operator's rows leave the batch together, once
     all its starts have stopped, and only then are the results of its
-    starts written out and the grid of the products (`block_grid`) rebuilt.
-    So every operator in the batch has all its c starts, each run of
-    consecutive operators in the batch is a run of rows that the products
-    take as a view (`block_product`), and an operator's starts sweep alike
-    whichever operators share the batch.
+    starts written out. Its slot in the stack is then filled by the last
+    operator that stays, and the rows of the one by those of the other: a
+    swap-remove, in place, with no array gathered whole. So every operator
+    in the batch has all its c starts, every product is one matmul
+    (`stack_product`), and an operator's starts sweep alike whichever
+    operators share the batch, in whichever slot.
 
-    Updates the factors in place and returns them with the complex overlap,
-    sweep count and convergence flag of every start.
+    `xs` is scratch: the swap-removes reorder its operators in place, so it
+    holds them in no defined order afterwards. Updates the factors in place
+    and returns them with the complex overlap, sweep count and convergence
+    flag of every start.
     """
     cuts = _plan(dims)[0]
     ops = np.arange(len(xs))  # the operators in the batch
-    grid = block_grid(ops, c)
-    w = block_product(row_kron([a.conj() for a in bras]), xs, grid)
+    w = stack_product(row_kron([a.conj() for a in bras]), xs)
     value = np.einsum("bc,bc->b", w, row_kron(kets))
     del w
     sweeps = np.full(value.size, max_iters)  # until a start converges
@@ -252,7 +231,7 @@ def ascend(
     best_value, best = value.copy(), np.abs(value)
     dr, dx, r = hist
     for it in range(1, max_iters + 1):
-        size = sweep(xs, grid, dims, z, r)  # |overlap(y)|; r is its scratch
+        size = sweep(xs, dims, z, r)  # |overlap(y)|; r is its scratch
         if not size.all():  # a contraction vanished: y = x
             np.copyto(z, x, where=(size == 0.0)[:, None])
         done = np.abs(size - best) <= conv_tol
@@ -286,19 +265,23 @@ def ascend(
         stays = ~converged.reshape(-1, c)[ops].all(axis=1) & (it < max_iters)
         if stays.all():
             continue
-        keep = np.repeat(stays, c)
-        gone = ~keep
+        gone = np.repeat(~stays, c)
         value[live[gone]] = best_value[gone]
         for out, a in zip(factors, _columns(best_y[gone], cuts)):
             out[live[gone]] = a
         if not stays.any():
             break
-        z = z[keep]  # one array at a time, which bounds the peak memory
-        x = x[keep]
-        best_y = best_y[keep]
-        hist = hist[:, keep]
-        best_value, best = best_value[keep], best[keep]
-        live, ops = live[keep], ops[stays]
+        k = np.count_nonzero(stays)  # the last operators that stay fill the holes
+        holes, movers = np.flatnonzero(~stays[:k]), k + np.flatnonzero(stays[k:])
+        xs[holes] = xs[movers]
+        ops[holes] = ops[movers]
+        holes, movers = (np.add.outer(c * a, np.arange(c)).ravel() for a in (holes, movers))
+        for a in (z, x, best_y, best_value, best, live):
+            a[holes] = a[movers]
+        hist[:, holes] = hist[:, movers]
+        xs, ops, hist = xs[:k], ops[:k], hist[:, : k * c]
+        z, x, best_y, best_value, best, live = (
+            a[: k * c] for a in (z, x, best_y, best_value, best, live)
+        )
         dr, dx, r = hist
-        grid = block_grid(ops, c)
     return bras, kets, value, sweeps, converged

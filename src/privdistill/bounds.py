@@ -23,6 +23,7 @@ from .private_states import PrivateState, PrivateStateSpec, eigenvectors_of_pdit
 
 P_TOL = 1e-12
 CERT_TOL = 1e-9
+CERT_FLOOR = 256  # the certificate's least tolerance, in units of eps log2(d s_a)
 CERT_SAMPLES = 200
 CERT_BLOCK = 64  # certificate samples processed together; bounds memory
 
@@ -207,6 +208,12 @@ def ef_certificate(
     directly computed entropy and the block formula to within `tol`, which
     must be finite and >= 0; the first violation is returned as a witness.
 
+    A `tol` below rounding is raised to CERT_FLOOR eps log2(d s_a): each
+    entropy, at most log2(d s_a), is computed to a few units of eps
+    log2(d s_a), more where exact zero eigenvalues come out near eps. Valid
+    states stayed within 22 units (d = 2-8, s_a up to 64, shield ranks from
+    1), so `tol=0` passes them, and the floor is below 1e-12 up to d s_a = 2^14.
+
     Samples are drawn and checked CERT_BLOCK at a time. With psi reshaped
     to M of shape (d s_a, d s_b), rows (K0, S0) and columns (K1, S1), the
     party-0 reduction is M M^dagger; each branch reduction is chi chi^dagger
@@ -228,6 +235,7 @@ def ef_certificate(
     s_a, s_b = spec.shield_dims
     bound = float(np.log2(d))
     diag = np.arange(d)
+    tol = max(tol, CERT_FLOOR * np.finfo(float).eps * np.log2(d * s_a))
 
     lowest, total, worst = np.inf, 0.0, 0.0
     witness: dict | None = None

@@ -145,6 +145,13 @@ def _check_settings(restarts: int, max_iters: int, conv_tol: float) -> None:
         raise ValueError(f"conv_tol must be a finite number >= 0, got {conv_tol}")
 
 
+def _check_dims(dims: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """`dims` as a tuple of ints; refuses an empty one or an entry that is no integer >= 1."""
+    if len(dims) == 0 or not all(isinstance(v, (int, np.integer)) and v >= 1 for v in dims):
+        raise ValueError(f"dims must be a nonempty list of integers >= 1, got {list(dims)}")
+    return tuple(int(v) for v in dims)
+
+
 def _contract_except(tensor: np.ndarray, vectors: list[np.ndarray], skip: int) -> np.ndarray:
     """Contract every axis but `skip` against the matching vector, in one `einsum`."""
     operands: list = [tensor, list(range(len(vectors)))]
@@ -169,7 +176,7 @@ def _overlaps(
     range, the ascent of xs / scale with tolerance conv_tol / scale makes
     the same steps as that of xs, and its overlaps times scale are those of
     xs, bit for bit; so no result depends on the operators that share the
-    stack."""
+    stack. The ascent then uses `xs` as scratch (see `ascent.ascend`)."""
     scale = np.ldexp(1.0, np.frexp(max(xs.view(float).max(), -xs.view(float).min()))[1] - 1)
     xs /= scale  # no copy: the stacks of a tensor power are tens of MB
     bras, kets, c = _stacked_starts(xs, dims, restarts, seeds)
@@ -218,9 +225,7 @@ def eta_optimize(
     """
     _check_settings(restarts, max_iters, conv_tol)
     x = as_complex(x)
-    if len(dims) == 0 or not all(isinstance(v, (int, np.integer)) and v >= 1 for v in dims):
-        raise ValueError(f"dims must be a nonempty list of integers >= 1, got {list(dims)}")
-    dims = tuple(int(v) for v in dims)
+    dims = _check_dims(dims)
     total = int(np.prod(dims, dtype=np.int64))
     if x.shape != (total, total):
         raise ValueError(f"operator shape {x.shape} does not match dims {dims}")
@@ -255,7 +260,7 @@ def optimize_pairs(
     Pair (i, j) draws its starts from SeedSequence(seed, spawn_key=(i, j)),
     so its result is a function of (spec, seed, i, j) and the settings
     alone, whichever list holds the pair: bit for bit if the BLAS gives
-    equal bits for equal calls (see `ascent.block_product`). Each pair's
+    equal bits for equal calls (see `ascent.stack_product`). Each pair's
     `gram` = Y rho Y^dagger (see PairOverlap) is formed here, once, from the
     pull-back Y of its product vectors (`pullback`): no s x s operator.
     """
@@ -306,9 +311,10 @@ def brute_force_eta(
     contractions (one `einsum` each), and it runs a fixed number of sweeps
     with no convergence test or mixing. The starts are drawn here, not by
     the engine's start code: one generator from `seed`, one `normal` call
-    per part of each factor. Only small operators are accepted.
+    per part of each factor. Only small operators are accepted, and `dims`
+    is checked as `eta_optimize` checks it.
     """
-    dims = tuple(int(v) for v in dims)
+    dims = _check_dims(dims)
     total = int(np.prod(dims, dtype=np.int64))
     if total > BRUTE_FORCE_DIM_CAP:
         raise ValueError(

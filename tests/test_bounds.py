@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import BITWISE_BLAS
 from privdistill.bounds import (
     CERT_BLOCK,
+    CERT_FLOOR,
+    CERT_TOL,
     binary_entropy,
     ed_lower_bound,
     ef_certificate,
@@ -267,6 +269,23 @@ def test_ef_certificate_refuses_a_negative_tol():
     assert ef_certificate(spec, samples=2, tol=0.0).samples == 2
 
 
+@pytest.mark.parametrize("d, dims, rank, seed", [
+    (2, (6, 6), None, 3), (2, (2, 2), 1, 0), (3, (1, 2), None, 1), (2, (32, 2), 1, 1),
+    (4, (3, 3), 2, 2),
+])
+def test_ef_certificate_passes_valid_states_at_tol_0(d, dims, rank, seed):
+    """tol = 0 checks to rounding (`CERT_FLOOR` units of eps log2(d s_a)),
+    so valid states pass, within a quarter of that floor: also a party-0
+    shield factor of 1, whose branch entropies are 0, so that every margin
+    is 0 up to rounding, and a factor of 32 under a rank-1 shield, whose
+    many zero eigenvalues round worst."""
+    spec = random_spec(d, 2, dims, seed=seed, shield_rank=rank)
+    cert = ef_certificate(spec, samples=100, seed=seed, tol=0.0)
+    assert cert.passed, (cert.min_margin, cert.max_identity_residual)
+    floor = CERT_FLOOR * np.finfo(float).eps * np.log2(d * dims[0])
+    assert cert.max_identity_residual <= floor / 4 and cert.min_margin >= -floor / 4
+
+
 def zero_entropy(monkeypatch):
     """Make the certificate's entropies read 0 for every state, so every
     sample misses both the bound and the block identity: a witness."""
@@ -287,11 +306,12 @@ def test_ef_certificate_failure_path_produces_witness(monkeypatch):
     records the first one and flips to failed."""
     spec = random_spec(2, 2, (2, 2), seed=3)
     zero_entropy(monkeypatch)
-    cert = ef_certificate(spec, samples=10, seed=0)
-    assert not cert.passed
-    assert cert.witness is not None
-    assert cert.witness["sample"] == 0
-    assert len(cert.witness["coefficients"]) == 4
+    for tol in (CERT_TOL, 0.0):
+        cert = ef_certificate(spec, samples=10, seed=0, tol=tol)
+        assert not cert.passed
+        assert cert.witness is not None
+        assert cert.witness["sample"] == 0
+        assert len(cert.witness["coefficients"]) == 4
 
 
 def loop_certificate(spec, samples, seed, tol):

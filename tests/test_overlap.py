@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import BITWISE_BLAS
 from privdistill import overlap
-from privdistill.ascent import ascend, block_grid, block_product, row_kron, sweep
+from privdistill.ascent import ascend, row_kron, stack_product, sweep
 from privdistill.linalg import CONV_TOL, MAX_ITERS, kron_all, layout
 from privdistill.overlap import (
     DETERMINISTIC_STARTS,
@@ -221,6 +221,14 @@ def test_brute_force_dimension_cap():
 def test_brute_force_shape_mismatch():
     with pytest.raises(ValueError):
         brute_force_eta(np.eye(4), (2, 3))
+
+
+@pytest.mark.parametrize("x, dims", [(np.eye(2), [2.5]), (np.zeros((0, 0)), [0])])
+def test_brute_force_refuses_dims_that_describe_no_operator(x, dims):
+    """`brute_force_eta` checks `dims` as `eta_optimize` does: [2.5] used to
+    be truncated to 2 (overlap 1.0), and [0] ran an empty operator (0.0)."""
+    with pytest.raises(ValueError, match=r"^dims must be a nonempty list of integers >= 1"):
+        brute_force_eta(x, dims)
 
 
 def test_sweeps_are_monotone():
@@ -452,11 +460,6 @@ def own_products(rows, xs):
     return (rows.reshape(len(xs), -1, rows.shape[1]) @ xs).reshape(rows.shape)
 
 
-def engine_sweep(xs, dims, z, scratch):
-    """`ascent.sweep` with every operator in the batch: one run of the grid."""
-    return sweep(xs, [(slice(0, len(z)), slice(0, len(xs)))], dims, z, scratch)
-
-
 def per_factor_sweep(xs, dims, z, scratch):
     """`ascent.sweep` with every factor normalized as soon as it is fitted."""
     n, z_conj = len(dims), np.conjugate(z, out=scratch)
@@ -466,7 +469,7 @@ def per_factor_sweep(xs, dims, z, scratch):
     return fit(w.conj(), dims, f[n:], f_conj[n:])
 
 
-def ascend_without_compaction(xs, dims, bras, kets, max_iters, conv_tol, sweep=engine_sweep):
+def ascend_without_compaction(xs, dims, bras, kets, max_iters, conv_tol, sweep=sweep):
     """The ascent with its state kept full size: every row sweeps on every
     sweep, whether its start has stopped or not, and a start's result is
     copied out at the sweep where it stops. The rows are len(xs) equal
@@ -512,21 +515,31 @@ def ascend_without_compaction(xs, dims, bras, kets, max_iters, conv_tol, sweep=e
 
 
 @pytest.mark.parametrize("max_iters", [0, 1, 2, 15, 200])
-@pytest.mark.parametrize("d, dims", [(3, (2, 3)), (4, (2, 2, 2))])
-def test_ascent_keeps_every_start_whenever_it_stops(d, dims, max_iters):
+@pytest.mark.parametrize("d, dims, one_entry", [
+    pytest.param(3, (2, 3), None, id="3-dims0"),
+    pytest.param(4, (2, 2, 2), None, id="4-dims1"),
+    pytest.param(4, (2, 3), 1, id="4-dims2-one-entry"),
+])
+def test_ascent_keeps_every_start_whenever_it_stops(d, dims, one_entry, max_iters):
     """The compact ascent leaves every start's factors as they were when
     it stopped, converged or cut at `max_iters`: they reproduce its
     returned overlap, and its sweeps and flag are those of a run that
     keeps the state full size (bit for bit on a BLAS where that was
-    checked). Some starts take mixing steps and some sweeps are rejected."""
+    checked). Some starts take mixing steps and some sweeps are rejected.
+    With `one_entry`, that operator of the stack has a single nonzero
+    entry, so it stops within two sweeps while the last operator sweeps
+    on, and the swap-remove moves the last operator into its slot."""
     spec = random_spec(d, len(dims), dims, seed=17, shield_rank=3)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     xs = _cross_operators(spec, pairs)
+    if one_entry is not None:
+        xs[one_entry] = 0.0
+        xs[one_entry, 0, 0] = 1.0
     bras, kets, c = _stacked_starts(xs, dims, 5, list(range(len(pairs))))
     ref = ascend_without_compaction(
         xs, dims, [b.copy() for b in bras], [k.copy() for k in kets], max_iters, 1e-12
     )
-    got = ascend(xs, c, dims, bras, kets, max_iters, 1e-12)
+    got = ascend(xs.copy(), c, dims, bras, kets, max_iters, 1e-12)
     f, g, value, sweeps, converged = got
     stored = np.einsum("ba,bac,bc->b", row_kron(f).conj(), np.repeat(xs, c, axis=0), row_kron(g))
     assert np.abs(stored - value).max() <= 1e-13
@@ -535,6 +548,9 @@ def test_ascent_keeps_every_start_whenever_it_stops(d, dims, max_iters):
         assert 0 < converged.sum() < converged.size
     if max_iters == 200:
         assert ref[5] > 0 and ref[6] > 0  # mixing steps, rejected sweeps
+    if one_entry is not None and max_iters >= 15:
+        early, last = sweeps.reshape(-1, c)[[one_entry, -1]].max(axis=1)
+        assert early <= 2 < last
     for a, b in zip(f + g + [value], ref[0] + ref[1] + [ref[2]]):
         assert np.abs(a - b).max() <= 1e-13
         if BITWISE_BLAS:
@@ -628,7 +644,7 @@ def test_mixed_ascent_is_monotone_and_ends_at_a_fixed_point(d, dims, rank_fracti
     bras, kets, c = _stacked_starts(xs, dims, restarts, [seed + k for k in range(len(pairs))])
 
     def run(max_iters):
-        return ascend(xs, c, dims, [b.copy() for b in bras], [k.copy() for k in kets],
+        return ascend(xs.copy(), c, dims, [b.copy() for b in bras], [k.copy() for k in kets],
                       max_iters, CONV_TOL)
 
     before = np.abs(run(0)[2])
@@ -640,7 +656,7 @@ def test_mixed_ascent_is_monotone_and_ends_at_a_fixed_point(d, dims, rank_fracti
     best = now.reshape(-1, c).argmax(axis=1) + c * np.arange(len(xs))
     best = best[converged[best]]
     z = np.concatenate(f + g, axis=1)[best]
-    after = engine_sweep(np.repeat(xs, c, axis=0)[best], dims, z, np.empty_like(z))
+    after = sweep(np.repeat(xs, c, axis=0)[best], dims, z, np.empty_like(z))
     assert (after <= now[best] + 1e-9).all()
 
 
@@ -725,20 +741,20 @@ def test_optimize_pairs_of_no_pairs():
 
 @pytest.mark.parametrize("s", [6, 16, 64])
 def test_block_products_are_each_operators_product(s):
-    """Each row of the batched product is the product of its operator with
-    the rows of that operator alone: to 1e-13 everywhere, and bit for bit
-    on a BLAS where that was checked (`BITWISE_BLAS`). Also for operators
-    left in the batch with gaps between them, and with one row per
-    operator (a matrix-vector product)."""
+    """Each row of the stacked product (`stack_product`) is the product of
+    its operator with the rows of that operator alone: to 1e-13
+    everywhere, and bit for bit on a BLAS where that was checked
+    (`BITWISE_BLAS`). Also for stacks left by swap-removes, whose
+    operators are in any order, and with one row per operator (a
+    matrix-vector product)."""
     rng = np.random.default_rng(s)
     ops = rng.normal(size=(5, s, s)) + 1j * rng.normal(size=(5, s, s))
-    for live in ([0, 1, 2, 3, 4], [0, 2, 3], [1, 4], [3], [0, 1, 3, 4], []):
-        live = np.array(live, dtype=int)
+    for live in ([0, 1, 2, 3, 4], [0, 4, 2, 3], [4, 1], [3], [0, 1, 4, 3], []):
+        stack = ops[np.array(live, dtype=int)]
         for c in (1, 3):
-            rows = rng.normal(size=(live.size * c, s)) + 1j * rng.normal(size=(live.size * c, s))
-            grid = block_grid(live, c)
-            assert len(grid) == np.count_nonzero(np.diff(live) != 1) + (live.size > 0)
-            out = block_product(rows, ops, grid)
+            rows = rng.normal(size=(len(live) * c, s)) + 1j * rng.normal(size=(len(live) * c, s))
+            out = stack_product(rows, stack)
+            assert out.shape == rows.shape
             for at, k in enumerate(live):
                 mine = slice(at * c, (at + 1) * c)
                 alone = rows[mine] @ ops[k]
@@ -797,7 +813,7 @@ def test_grouped_normalization_keeps_the_per_factor_result(dims, rank_fraction, 
     bras, kets, c = _stacked_starts(xs, dims, restarts, [seed])
     ref = ascend_without_compaction(xs, dims, [b.copy() for b in bras], [g.copy() for g in kets],
                                     MAX_ITERS, CONV_TOL, sweep=per_factor_sweep)
-    f, g, value, _, _ = ascend(xs, c, dims, bras, kets, MAX_ITERS, CONV_TOL)
+    f, g, value, _, _ = ascend(xs.copy(), c, dims, bras, kets, MAX_ITERS, CONV_TOL)
     assert np.isfinite(value).all() and all(np.isfinite(v).all() for v in f + g)
     want = np.abs(ref[2]).max()
     assert abs(np.abs(value).max() - want) <= 1e-9 * want
