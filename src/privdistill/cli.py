@@ -74,13 +74,6 @@ def _dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--restarts", type=int)
-    sub.add_argument("--max-iters", type=int)
-    sub.add_argument("--conv-tol", type=float)
-
-
 def _optimizer_config(args: argparse.Namespace) -> dict:
     return {name: getattr(args, name) for name in ("seed", "restarts", "max_iters", "conv_tol")}
 
@@ -177,6 +170,10 @@ def _best_pair_row(report: BoundReport) -> tuple[float, float, float, float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """One CSV row per knob value, from the best-verified pair of that
+    spec's `bound` report: its `eta`, `p_pred` (`p`) and own `paper_rate`,
+    and `best_verified_rate`. The report's `best_paper_rate` may belong to
+    another converged pair, so `paper_rate` can read below it."""
     base = random_spec(args.d, args.parties, args.shield_dims, args.seed)
     total = base.shield_total_dim
     lines = ["knob,eta,p,paper_rate,verified_rate\n"]
@@ -212,66 +209,47 @@ def build_parser() -> argparse.ArgumentParser:
         "entanglement bound certificates.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # flags that several commands share, each defined once in a parent
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--spec", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--i", type=int, required=True)
+    pair.add_argument("--j", type=int, required=True)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int)
+    optimizer = argparse.ArgumentParser(add_help=False, parents=[seed])
+    optimizer.add_argument("--restarts", type=int)
+    optimizer.add_argument("--max-iters", type=int)
+    optimizer.add_argument("--conv-tol", type=float)
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--d", type=int, default=2, help="key dimension per party")
+    shape.add_argument("--parties", type=int, default=2)
+    shape.add_argument("--shield-dims", type=_dims, default=(2, 2),
+                       help="comma-separated per-party shield dimensions")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
 
-    gen = subs.add_parser("gen", help="generate a random private-state spec")
-    gen.add_argument("--d", type=int, default=2, help="key dimension per party")
-    gen.add_argument("--parties", type=int, default=2)
-    gen.add_argument("--shield-dims", type=_dims, default=(2, 2),
-                     help="comma-separated per-party shield dimensions")
-    gen.add_argument("--seed", type=int)
+    def command(name, func, help, *parents):
+        sub = subs.add_parser(name, help=help, parents=[*parents, out])
+        sub.set_defaults(func=func)
+        return sub
+
+    gen = command("gen", cmd_gen, "generate a random private-state spec", shape, seed)
     gen.add_argument("--shield-rank", type=int, default=None)
-    gen.add_argument("--out", default=None)
-    gen.set_defaults(func=cmd_gen)
-
-    build = subs.add_parser("build", help="assemble the density matrix of a spec")
-    build.add_argument("--spec", required=True)
-    build.add_argument("--power", type=int, default=1,
-                       help="build this tensor power of the state")
-    build.add_argument("--out", default=None)
-    build.set_defaults(func=cmd_build)
-
-    eta = subs.add_parser("eta", help="maximize the product overlap of one key pair")
-    eta.add_argument("--spec", required=True)
-    eta.add_argument("--i", type=int, required=True)
-    eta.add_argument("--j", type=int, required=True)
-    _add_optimizer_flags(eta)
-    eta.add_argument("--out", default=None)
-    eta.set_defaults(func=cmd_eta)
-
-    distill = subs.add_parser("distill", help="run the filtering protocol for one pair")
-    distill.add_argument("--spec", required=True)
-    distill.add_argument("--i", type=int, required=True)
-    distill.add_argument("--j", type=int, required=True)
-    _add_optimizer_flags(distill)
-    distill.add_argument("--out", default=None)
-    distill.add_argument("--post-out", default=None,
-                         help="also write the post-filter state here")
-    distill.set_defaults(func=cmd_distill)
-
-    bound = subs.add_parser("bound", help="distillation-rate report over all key pairs")
-    bound.add_argument("--spec", required=True)
-    _add_optimizer_flags(bound)
-    bound.add_argument("--out", default=None)
-    bound.set_defaults(func=cmd_bound)
-
-    certify = subs.add_parser("certify", help="entanglement-of-formation certificate")
-    certify.add_argument("--spec", required=True)
+    build = command("build", cmd_build, "assemble the density matrix of a spec", spec)
+    build.add_argument("--power", type=int, default=1, help="build this tensor power of the state")
+    command("eta", cmd_eta, "maximize the product overlap of one key pair", spec, pair, optimizer)
+    distill = command("distill", cmd_distill, "run the filtering protocol for one pair",
+                      spec, pair, optimizer)
+    distill.add_argument("--post-out", default=None, help="also write the post-filter state here")
+    command("bound", cmd_bound, "distillation-rate report over all key pairs", spec, optimizer)
+    certify = command("certify", cmd_certify, "entanglement-of-formation certificate", spec, seed)
     certify.add_argument("--samples", type=int)
-    certify.add_argument("--seed", type=int)
     certify.add_argument("--tol", type=float, default=CERT_TOL)
-    certify.add_argument("--out", default=None)
-    certify.set_defaults(func=cmd_certify)
-
-    sweep = subs.add_parser("sweep", help="rate vs. a generator knob, as CSV")
-    sweep.add_argument("--d", type=int, default=2)
-    sweep.add_argument("--parties", type=int, default=2)
-    sweep.add_argument("--shield-dims", type=_dims, default=(2, 2))
+    sweep = command("sweep", cmd_sweep, "rate vs. a generator knob, as CSV", shape, optimizer)
     sweep.add_argument("--knob", choices=["shield-rank", "depolarize"], required=True)
     sweep.add_argument("--values", required=True,
                        help="comma-separated knob values, one CSV row each")
-    _add_optimizer_flags(sweep)
-    sweep.add_argument("--out", default=None)
-    sweep.set_defaults(func=cmd_sweep)
     return parser
 
 

@@ -59,10 +59,6 @@ class SubsystemLayout:
     def total_dim(self) -> int:
         return int(np.prod(self.dims, dtype=np.int64)) if self.factors else 1
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(f.label for f in self.factors)
-
     def index_of(self, label: str) -> int:
         for k, f in enumerate(self.factors):
             if f.label == label:

@@ -3,11 +3,11 @@
 Complex matrices are stored row-major as [re, im] pairs. Output is always
 `json.dumps(obj, sort_keys=True, indent=2)` so that identical inputs give
 byte-identical files; nothing time- or host-dependent is ever embedded.
-Every file that holds a matrix (a state from `write_matrix`, a spec from
-`write_spec`) is written by one splice routine: `dumps` lays out the file
-with each matrix's data list as a placeholder, and each list is formatted
-in its place, a block of rows at a time, without the pure-Python indent
-encoder. The bytes are those of `dumps` of the whole object.
+Every file, report, state or spec, is written by `write_json`. A matrix
+object may hold its ndarray itself as "data" (`write_matrix`, `write_spec`):
+json's `default` hook lays out a placeholder string there, and the [re, im]
+pairs are streamed into its place a block of rows at a time, without the
+indent encoder, in the bytes of `dumps` of the plain-list object.
 
 Sizes read from JSON (dimensions, row and column counts, party indices)
 must be JSON integers: a string, a float or a bool raises ValueError rather
@@ -34,10 +34,9 @@ from .states import DensityMatrix, validate_state, validate_unitary
 # text held in memory while a large matrix is written.
 WRITE_BLOCK = 1 << 15
 
-# A placeholder data list `[k]` (k: the matrix's index in the list the
-# skeleton was built with) as `dumps` lays it out, at any depth. Strings
-# hold no raw newline, so only a placeholder matches.
-_SLOT = re.compile(r'"data": (\[\n( +)(\d+)\n +\])')
+# A placeholder, the string "\0k" (k: the matrix's index), as `dumps` lays
+# it out as a "data" value at any depth; group 1 is the key's indent.
+_SLOT = re.compile(r'^( *)"data": ("\\u0000(\d+)")', re.M)
 
 
 def _size(value: Any, what: str) -> int:
@@ -69,7 +68,7 @@ def layout_from_json(obj: list[dict[str, Any]]) -> SubsystemLayout:
 
 
 def _matrix_obj(
-    mat: np.ndarray, lay: SubsystemLayout | None, data: list
+    mat: np.ndarray, lay: SubsystemLayout | None, data: list | np.ndarray
 ) -> dict[str, Any]:
     out: dict[str, Any] = {"rows": mat.shape[0], "cols": mat.shape[1], "data": data}
     if lay is not None:
@@ -123,26 +122,10 @@ def _spliced(text: str, mats: list[np.ndarray]) -> Iterator[str]:
     """`text` with each placeholder data list replaced by its matrix's."""
     at = 0
     for slot in _SLOT.finditer(text):
-        yield text[at : slot.start(1)]
-        yield from _data_text(mats[int(slot[3])], len(slot[2]))
-        at = slot.end(1)
+        yield text[at : slot.start(2)]
+        yield from _data_text(mats[int(slot[3])], len(slot[1]) + 2)
+        at = slot.end(2)
     yield text[at:]
-
-
-def _write_with_matrices(build: Callable[[Callable], Any], path: str | None) -> None:
-    """Write `dumps(build(matrix_to_json))`, never holding the text whole:
-    `build` gets a `matrix(mat, lay)` that puts a placeholder in each data
-    list, and the lists are formatted into `dumps`' text as it is written.
-    Entries must be finite (json would write NaN, which is not JSON); that
-    is checked before the file is opened."""
-    mats: list[np.ndarray] = []
-
-    def matrix(mat: np.ndarray, lay: SubsystemLayout | None = None) -> dict[str, Any]:
-        mats.append(np.ascontiguousarray(as_complex(mat)))
-        return _matrix_obj(mats[-1], lay, [len(mats) - 1])
-
-    text = dumps(build(matrix))
-    _write_pieces(_spliced(text, mats), path)
 
 
 def write_matrix(
@@ -151,7 +134,7 @@ def write_matrix(
     """Write `dumps(matrix_to_json(mat, lay))` to a file or stdout, in the
     same bytes but a block of rows at a time, so memory stays near the
     matrix's own size."""
-    _write_with_matrices(lambda matrix: matrix(mat, lay), path)
+    write_json(_matrix_obj(mat, lay, mat), path)
 
 
 def matrix_from_json(obj: dict[str, Any]) -> tuple[np.ndarray, SubsystemLayout | None]:
@@ -191,7 +174,7 @@ def spec_to_json(spec: PrivateStateSpec) -> dict[str, Any]:
 def write_spec(spec: PrivateStateSpec, path: str | None) -> None:
     """Write `dumps(spec_to_json(spec))` to a file or stdout, in the same
     bytes but with each matrix streamed as `write_matrix` streams a state."""
-    _write_with_matrices(lambda matrix: _spec_obj(spec, matrix), path)
+    write_json(_spec_obj(spec, lambda mat: _matrix_obj(mat, None, mat)), path)
 
 
 def spec_from_json(obj: dict[str, Any]) -> PrivateStateSpec:
@@ -226,15 +209,35 @@ def report_to_json(report: Any) -> Any:
     return dataclasses.asdict(report)
 
 
+def _json_pieces(obj: Any) -> Iterable[str]:
+    """The text of `dumps(obj)`, in pieces; see `write_json`."""
+    mats: list[np.ndarray] = []
+
+    def placeholder(value: Any) -> str:
+        if not (isinstance(value, np.ndarray) and value.ndim == 2):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        mats.append(np.ascontiguousarray(as_complex(value)))
+        return f"\0{len(mats) - 1}"
+
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=placeholder)
+    # one `\u0000` per placeholder and none besides: slots are placeholders
+    if mats and not text.count("\\u0000") == len(_SLOT.findall(text)) == len(mats):
+        raise ValueError('an ndarray may stand only as a matrix\'s "data", beside no NUL string')
+    return _spliced(text + "\n", mats) if mats else (text + "\n",)
+
+
 def dumps(obj: Any) -> str:
     """Deterministic JSON text; NaN or an infinity raises ValueError, as
     they are not JSON."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return "".join(_json_pieces(obj))
 
 
 def write_json(obj: Any, path: str | None) -> None:
-    """Write deterministic JSON to a file, or stdout when path is None/'-'."""
-    write_text(dumps(obj), path)
+    """Write `dumps(obj)` to a file, or stdout when path is None/'-'; an
+    ndarray that is not a "data" value, a non-finite entry, or (where
+    there are ndarrays) a string holding NUL or the text `\\u0000`, raises
+    ValueError before the file is opened."""
+    _write_pieces(_json_pieces(obj), path)
 
 
 def write_text(text: str, path: str | None) -> None:

@@ -544,3 +544,30 @@ def test_pair_commands_refuse_a_pair_not_named_i_below_j(spec_path, tmp_path, ca
         f"error: key pair must be named with --i < --j, got --i {i} --j {j}\n"
     )
     assert not out.exists()
+
+
+OPTIMIZER = {"seed": None, "restarts": None, "max_iters": None, "conv_tol": None}
+SHAPE = {"d": 2, "parties": 2, "shield_dims": (2, 2)}
+PAIR = {"spec": "s.json", "i": 0, "j": 1}
+PARSED = [
+    (["gen"], {**SHAPE, "seed": None, "shield_rank": None}),
+    (["build", "--spec", "s.json"], {"spec": "s.json", "power": 1}),
+    (["eta", "--spec", "s.json", "--i", "0", "--j", "1"], {**PAIR, **OPTIMIZER}),
+    (["distill", "--spec", "s.json", "--i", "0", "--j", "1"],
+     {**PAIR, **OPTIMIZER, "post_out": None}),
+    (["bound", "--spec", "s.json"], {"spec": "s.json", **OPTIMIZER}),
+    (["certify", "--spec", "s.json"],
+     {"spec": "s.json", "seed": None, "samples": None, "tol": 1e-9}),
+    (["sweep", "--knob", "depolarize", "--values", "0"],
+     {**SHAPE, **OPTIMIZER, "knob": "depolarize", "values": "0"}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PARSED, ids=[argv[0] for argv, _ in PARSED])
+def test_each_command_parses_a_minimal_argv_to_its_defaults(argv, expected):
+    """Every key and default of each command's namespace before the
+    environment fills the settings, so a shared flag group cannot drop a
+    flag from a command, add one to it or change its default."""
+    args = vars(cli.build_parser().parse_args(argv))
+    assert args.pop("func") is getattr(cli, f"cmd_{argv[0]}")
+    assert args == {"command": argv[0], "out": None, **expected}

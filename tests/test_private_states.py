@@ -76,7 +76,7 @@ def test_swap_shield_state_blocks():
 def test_state_layout_orders_keys_before_shields():
     spec = random_spec(2, 3, (2, 3, 2), seed=0)
     lay = spec.state_layout()
-    assert lay.labels == ("K0", "K1", "K2", "S0", "S1", "S2")
+    assert [f.label for f in lay.factors] == ["K0", "K1", "K2", "S0", "S1", "S2"]
     assert [f.role for f in lay.factors] == ["key"] * 3 + ["shield"] * 3
     assert [f.party for f in lay.factors] == [0, 1, 2, 0, 1, 2]
     assert lay.total_dim == build_private_state(spec).rho.dim

@@ -182,6 +182,48 @@ def test_write_matrix_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         write_matrix(np.array([[np.nan]]), None, str(path))
     assert not path.exists()
+    with pytest.raises(ValueError):
+        write_json({"m": {"data": np.array([[1.0, complex(0.0, np.nan)]])}}, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("obj", [
+    {"rows": 1, "cols": 1, "x": np.eye(1)},
+    {"data": [np.eye(1)]},
+    [np.eye(1)],
+    {"a": {"data": [0]}, "b": np.eye(1)},
+    {"a": {"data": np.eye(1)}, "b": {"data": "\x000"}},  # a plain string like a placeholder
+    {"a": {"data": np.eye(1)}, "b": "\\u0000"},
+])
+def test_write_json_refuses_an_ndarray_outside_a_data_slot(tmp_path, obj):
+    """A stray ndarray would be written as its placeholder string, and a
+    string that reads as one would take a matrix; the writer refuses both
+    before the file is opened."""
+    path = tmp_path / "stray.json"
+    with pytest.raises(ValueError, match="data"):
+        write_json(obj, str(path))
+    assert not path.exists()
+
+
+def test_write_json_streams_matrices_at_two_depths_as_dumps_writes_them(tmp_path):
+    """Matrices given as ndarrays, one in a matrix object and two in a list
+    a level deeper, come out in the bytes of `dumps` of the plain-list
+    form; a plain `"data": [0]`, before or after them, is no placeholder."""
+    rng = np.random.default_rng(7)
+    mats = [rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+            for r, c in [(3, 3), (2, 1), (1, 4)]]
+    mats[0][1:, :] = 0.0
+    lay = layout([("K0", 3, 0, "key")])
+
+    def obj(matrix):
+        return {"a": {"data": [0]}, "state": matrix(mats[0], lay), "tol": 0.5,
+                "ops": [matrix(mats[1], None), matrix(mats[2], None)], "z": {"data": [1]}}
+
+    path = tmp_path / "two_depths.json"
+    write_json(obj(lambda m, lay: {**matrix_to_json(m, lay), "data": m}), str(path))
+    assert path.read_text() == dumps(obj(matrix_to_json))
+    write_json({"plain": {"data": [0]}}, str(path))
+    assert path.read_text() == dumps({"plain": {"data": [0]}})
 
 
 ZERO_PAIRS = [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0)]
