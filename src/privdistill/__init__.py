@@ -14,11 +14,9 @@ from .filtering import (
     FilterError,
     FilterOutcome,
     FilterSet,
-    PredictedOutcome,
     apply_filter,
     build_filters,
     filter_outcomes,
-    predict_outcome,
 )
 from .linalg import (
     Factor,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import FilterOutcome, branch_weights, filter_outcomes, predict_outcome
+from .filtering import _gram_outcomes
 from .linalg import CONV_TOL, MAX_ITERS, RESTARTS, von_neumann_entropy
 from .overlap import PairOverlap, optimize_pairs
 from .private_states import PrivateState, PrivateStateSpec, eigenvectors_of_pdit
@@ -91,24 +91,33 @@ def pair_bounds(
     spec: PrivateStateSpec,
     pairs: list[tuple[int, int]],
     results: list[PairOverlap],
-) -> tuple[list[PairBound], list[FilterOutcome]]:
-    """The record of each key pair (i, j) from its overlap result, and the
-    simulated outcome of its filters: one stack for every pair, formed from
-    the Gram blocks of `results` alone (`filter_outcomes`)."""
-    outcomes = filter_outcomes(spec, results)
+) -> list[PairBound]:
+    """The record of each key pair (i, j) from its overlap result: the
+    simulated outcome of its filters, one stack formed from the Gram blocks
+    of `results` alone (`filtering._gram_outcomes`), and the closed form,
+    success (2/d) min(a1, a2) and p = 1/2 + eta / (2 sqrt(a1 a2))."""
+    if len(pairs) != len(results):
+        raise ValueError(f"{len(pairs)} key pairs but {len(results)} overlap results")
+    _, success, p, residual = _gram_outcomes(spec, results)
+    outcomes = zip(success.tolist(), p.tolist(), residual.tolist())
     bounds = []
-    for (i, j), result, outcome in zip(pairs, results, outcomes):
-        pred = predict_outcome(result, d=spec.d)
+    for (i, j), result, (success_sim, p_sim, structure_residual) in zip(pairs, results, outcomes):
+        a1, a2 = result.a1, result.a2
+        success_pred = (2.0 / spec.d) * min(a1, a2)
+        p_pred = float(0.5 + result.eta / (2.0 * np.sqrt(a1 * a2)))
+        if p_pred > 1.0 + 1e-9:
+            raise ValueError(f"p={p_pred} exceeds 1; eta is inconsistent with the branch weights")
+        p_pred = min(p_pred, 1.0)
         bounds.append(PairBound(
-            i=i, j=j, eta=result.eta, a1=result.a1, a2=result.a2, theta=result.theta,
-            variant=branch_weights(result)[2],
-            success_pred=pred.success, success_sim=outcome.success,
-            p_pred=pred.p, p_sim=outcome.p, structure_residual=outcome.residual,
-            paper_rate=max(result.a1, result.a2) * hashing_rate(pred.p),
-            verified_rate=outcome.success * hashing_rate(outcome.p),
+            i=i, j=j, eta=result.eta, a1=a1, a2=a2, theta=result.theta,
+            variant="V" if a2 >= a1 else "W",
+            success_pred=success_pred, success_sim=success_sim,
+            p_pred=p_pred, p_sim=p_sim, structure_residual=structure_residual,
+            paper_rate=max(a1, a2) * hashing_rate(p_pred),
+            verified_rate=success_sim * hashing_rate(p_sim),
             converged=result.converged,
         ))
-    return bounds, outcomes
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -152,7 +161,7 @@ def ed_lower_bound(
         restarts=restarts, max_iters=max_iters, conv_tol=conv_tol, seed=seed,
     )
 
-    bounds, _ = pair_bounds(spec, pair_list, results)
+    bounds = pair_bounds(spec, pair_list, results)
 
     eligible = [b for b in bounds if b.converged]
     if eligible:

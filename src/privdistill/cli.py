@@ -23,8 +23,8 @@ import functools
 import os
 import sys
 
-from .bounds import CERT_SAMPLES, CERT_TOL, BoundReport, ed_lower_bound, ef_certificate
-from .bounds import pair_bounds
+from .bounds import CERT_SAMPLES, CERT_TOL, BoundReport, ed_lower_bound, ef_certificate, pair_bounds
+from .filtering import filter_outcomes
 from .linalg import CONV_TOL, MAX_ITERS, RESTARTS
 from .overlap import optimize_pair
 from .private_states import (
@@ -132,12 +132,12 @@ def cmd_distill(args: argparse.Namespace) -> int:
     _check_pair(args)
     spec = _load_spec(args.spec)
     result = optimize_pair(spec, args.i, args.j, **_optimizer_config(args))
-    (bound,), (outcome,) = pair_bounds(spec, [(args.i, args.j)], [result])
+    (bound,) = pair_bounds(spec, [(args.i, args.j)], [result])
     report = report_to_json(bound)
     report["config"] = _optimizer_config(args)
     write_json(report, args.out)
     if args.post_out:
-        post = outcome.state
+        post = filter_outcomes(spec, [result])[0].state
         write_matrix(post.matrix, post.layout, args.post_out)
     return 0
 

@@ -13,7 +13,8 @@ only a contraction is one outcome of a local operation (a weight above 1
 would claim success (2/d) max(a1, a2), which no filter achieves). Every
 other party applies P_k = |0><i| (x) <f_k| + |1><j| (x) <g_k|. The
 surviving state lives on N two-level keys and is a mixture of the two
-generalized Bell states (|0...0> +/- |1...1>)/sqrt(2).
+generalized Bell states (|0...0> +/- |1...1>)/sqrt(2). It is a 2 x 2
+function of the pair's Gram block, evaluated once per pair (`_gram_outcomes`).
 """
 
 from __future__ import annotations
@@ -52,21 +53,14 @@ class FilterOutcome:
     residual: float  # entrywise distance from the two-Bell-state form
 
 
-@dataclass(frozen=True)
-class PredictedOutcome:
-    success: float
-    p: float
-
-
-def branch_weights(result: PairOverlap) -> tuple[float, complex, str]:
+def branch_weights(result: PairOverlap) -> tuple[float, complex]:
     """Party 0's weights of the key-i and key-j branches, sqrt(m/a1) and
-    sqrt(m/a2) e^{i theta} with m = min(a1, a2), and the label of the
-    weighted branch: "V" (key j) if a2 >= a1, else "W"."""
+    sqrt(m/a2) e^{i theta} with m = min(a1, a2)."""
     a1, a2 = result.a1, result.a2
     if min(a1, a2) <= 0.0:
         raise FilterError(f"branch weights a1={a1:.3e}, a2={a2:.3e} must be positive to filter")
     m = min(a1, a2)
-    return np.sqrt(m / a1), np.sqrt(m / a2) * np.exp(1j * result.theta), "V" if a2 >= a1 else "W"
+    return np.sqrt(m / a1), np.sqrt(m / a2) * np.exp(1j * result.theta)
 
 
 def build_filters(spec, i: int, j: int, result: PairOverlap) -> FilterSet:
@@ -79,7 +73,7 @@ def build_filters(spec, i: int, j: int, result: PairOverlap) -> FilterSet:
             f"overlap result has {len(result.bra_vectors)} product factors, "
             f"spec has {spec.parties} parties"
         )
-    bra_weight, ket_weight, variant = branch_weights(result)
+    bra_weight, ket_weight = branch_weights(result)
     ops = []
     for k, (bra, ket) in enumerate(zip(result.bra_vectors, result.ket_vectors)):
         s = bra.shape[0]
@@ -87,6 +81,7 @@ def build_filters(spec, i: int, j: int, result: PairOverlap) -> FilterSet:
         op[0, i * s : (i + 1) * s] = (bra_weight if k == 0 else 1.0) * bra.conj()
         op[1, j * s : (j + 1) * s] = (ket_weight if k == 0 else 1.0) * ket.conj()
         ops.append(op)
+    variant = "V" if result.a2 >= result.a1 else "W"
     return FilterSet(party_ops=tuple(ops), variant=variant, i=i, j=j)
 
 
@@ -105,77 +100,65 @@ def apply_filter(state: PrivateState, filters: FilterSet) -> FilterOutcome:
     grouped = kron_all(list(filters.party_ops))
     full = np.empty_like(grouped)
     full[:, factor_permutation(dims, interleave)] = grouped
-    return _outcomes((full @ state.rho.matrix @ full.conj().T)[None], n)[0]
+    out = (full @ state.rho.matrix @ full.conj().T)[None]
+    return _filter_outcome_list(*_outcomes(out, n), n)[0]
 
 
 def filter_outcomes(spec: PrivateStateSpec, results: list[PairOverlap]) -> list[FilterOutcome]:
-    """The outcome of `apply_filter` for every key pair (i, j) whose overlap
-    result is in `results`, filtered with its product vectors, as one stack.
+    """The outcome of `apply_filter` for the key pair of each overlap result,
+    as one stack: the corner blocks of `_gram_outcomes` on the 2^N key space."""
+    post, success, p, residual = _gram_outcomes(spec, results)
+    n = spec.parties
+    corners = np.array([0, 2**n - 1])
+    full = np.zeros((len(post), 2**n, 2**n), dtype=complex)
+    full[:, corners[:, None], corners] = post
+    return _filter_outcome_list(full, success, p, residual, n)
+
+
+def _gram_outcomes(spec: PrivateStateSpec, results: list[PairOverlap]) -> tuple[np.ndarray, ...]:
+    """The filtered states of the key pairs of `results` on the corners
+    |0..0>, |1..1>, with success, p and residual (`_outcomes`; empty arrays
+    for no results), from the Gram blocks alone.
 
     The state is (1/d) sum_{a,b} |a..a><b..b| (x) U_a rho U_b^dagger, and
     the product filter maps |i..i> (x) phi to w_i <f|phi> |0..0> and
     |j..j> (x) phi to w_j <g|phi> |1..1>, for the product vectors f, g and
     party 0's weights w (`branch_weights`); every other key string goes to
-    zero. So the filtered state is (1/d) W G W^dagger on the corners
-    |0..0>, |1..1>, with W = diag(w_i, w_j) and the pair's Gram block
-    G = Y rho Y^dagger (`PairOverlap.gram`, formed by `optimize_pairs`):
-    no D x D matrix, no pull-back and O(1) per pair whatever N and s.
-    The states are checked and measured on that 2 x 2 corner block, the
-    only one that can be nonzero, and placed on the 2^N x 2^N key space
-    only for `FilterOutcome.state`.
+    zero. So the filtered state is (1/d) W G W^dagger on the corners, with
+    W = diag(w_i, w_j) and the pair's Gram block G = Y rho Y^dagger
+    (`PairOverlap.gram`, formed by `optimize_pairs`): no D x D matrix, no
+    pull-back and O(1) per pair whatever N and s.
     """
-    w = np.array([branch_weights(r)[:2] for r in results])
-    gram = np.array([r.gram for r in results])
-    return _outcomes(w[:, :, None] * gram * w[:, None, :].conj() / spec.d, spec.parties)
+    w = np.array([branch_weights(r) for r in results]).reshape(-1, 2)
+    gram = np.array([r.gram for r in results]).reshape(-1, 2, 2)
+    return _outcomes(w[:, :, None] * gram * w[:, None, :].conj() / spec.d, 1)
 
 
-def _outcomes(out: np.ndarray, n: int) -> list[FilterOutcome]:
-    """Statistics of each filtered, unnormalized state of the stack `out`,
-    given on N key bits (2^N x 2^N) or on their corners |0..0>, |1..1>
-    alone (2 x 2; N >= 2, so the two shapes never meet). `residual` is the
-    largest entrywise deviation of a surviving state from
-    p P_+ + (1-p) P_-, the mixture of the two Bell projectors it should
-    equal exactly; off the corners both are zero."""
+def _outcomes(out: np.ndarray, bits: int) -> tuple[np.ndarray, ...]:
+    """The normalized states of the stack `out` of filtered states on `bits`
+    key qubits, and their success, p and residual: the largest entrywise
+    deviation of a state from p P_+ + (1-p) P_-, the Bell mixture it should
+    equal exactly."""
     success = np.trace(out, axis1=1, axis2=2).real
-    if success.min() <= SUCCESS_FLOOR:
+    if success.min(initial=np.inf) <= SUCCESS_FLOOR:
         raise FilterError(f"filter success probability {success.min():.3e} is ~ 0")
 
     post = out / success[:, None, None]
     post = (post + post.conj().transpose(0, 2, 1)) / 2
     check_states(post)
 
-    bits = 1 if post.shape[1] == 2 else n
     plus = bell_vector(+1, 0, 1, 2, bits)
     minus = bell_vector(-1, 0, 1, 2, bits)
     p = ((plus.conj() @ post)[:, None, :] @ plus[:, None]).real.ravel()
     bell_plus, bell_minus = np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
     target = p[:, None, None] * bell_plus + (1 - p)[:, None, None] * bell_minus
     residual = np.abs(post - target).max(axis=(1, 2))
-    if bits == 1:
-        corners = np.array([0, 2**n - 1])
-        full = np.zeros((len(post), 2**n, 2**n), dtype=complex)
-        full[:, corners[:, None], corners] = post
-        post = full
+    return post, success, p, residual
+
+
+def _filter_outcome_list(post, success, p, residual, n: int) -> list[FilterOutcome]:
     out_layout = layout([(f"K{k}", 2, k, "key") for k in range(n)])
     return [
-        FilterOutcome(DensityMatrix(m, out_layout), float(w), float(q), float(r))
-        for m, w, q, r in zip(post, success, p, residual)
+        FilterOutcome(DensityMatrix(m, out_layout), w, q, r)
+        for m, w, q, r in zip(post, success.tolist(), p.tolist(), residual.tolist())
     ]
-
-
-def predict_outcome(result: PairOverlap, d: int) -> PredictedOutcome:
-    """Closed-form success probability and Bell-state weight of the filter.
-
-    Exactly two of the d equally weighted key branches survive, each with
-    weight min(a1, a2)/d, so the success probability is (2/d) min(a1, a2).
-    The + Bell state carries p = 1/2 + eta / (2 sqrt(a1 a2)).
-    """
-    branch_weights(result)  # refuses a weight that is not positive
-    a1, a2 = result.a1, result.a2
-    success = (2.0 / d) * min(a1, a2)
-    p = float(0.5 + result.eta / (2.0 * np.sqrt(a1 * a2)))
-    if p > 1.0 + 1e-9:
-        raise ValueError(
-            f"p={p} exceeds 1; eta is inconsistent with the branch weights"
-        )
-    return PredictedOutcome(success=float(success), p=min(p, 1.0))

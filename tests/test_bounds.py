@@ -17,8 +17,9 @@ from privdistill.bounds import (
     key_rate,
     pair_bounds,
 )
+from privdistill.filtering import filter_outcomes
 from privdistill.linalg import layout, partial_trace, von_neumann_entropy
-from privdistill.overlap import optimize_pair
+from privdistill.overlap import optimize_pair, optimize_pairs
 from privdistill.private_states import (
     PrivateStateSpec,
     build_private_state,
@@ -197,7 +198,7 @@ def test_every_pair_of_the_bound_is_its_one_pair_record(d, dims, restarts, seed)
     for bound in report.pairs:
         pair = (bound.i, bound.j)
         alone = optimize_pair(spec, *pair, restarts=restarts, seed=seed)
-        (record,), _ = pair_bounds(spec, [pair], [alone])
+        (record,) = pair_bounds(spec, [pair], [alone])
         if BITWISE_BLAS:
             assert bound == record
         got, want = dataclasses.asdict(bound), dataclasses.asdict(record)
@@ -206,6 +207,27 @@ def test_every_pair_of_the_bound_is_its_one_pair_record(d, dims, restarts, seed)
         assert abs(got.pop("eta") - want.pop("eta")) <= 1e-13
         for name, value in got.items():
             assert abs(value - want[name]) <= 1e-12, name
+
+
+def test_pair_bounds_refuses_pairs_and_results_of_unequal_length():
+    """Zipping one pair with three results labelled pair (0, 1)'s record,
+    eta 0.63429, as pair (1, 2), whose eta is 0.65068. Unequal lengths are
+    refused either way round."""
+    spec = random_spec(3, 2, (2, 2), seed=1)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    results = optimize_pairs(spec, pairs, restarts=0)
+    with pytest.raises(ValueError, match="1 key pairs but 3 overlap results"):
+        pair_bounds(spec, [(1, 2)], results)
+    with pytest.raises(ValueError, match="3 key pairs but 1 overlap results"):
+        pair_bounds(spec, pairs, results[2:])
+    assert [b.eta for b in pair_bounds(spec, pairs[2:], results[2:])] == [results[2].eta]
+
+
+def test_no_pairs_give_no_outcomes_and_no_records():
+    spec = random_spec(3, 2, (2, 2), seed=1)
+    assert optimize_pairs(spec, []) == []
+    assert filter_outcomes(spec, []) == []
+    assert pair_bounds(spec, [], []) == []
 
 
 def test_ed_lower_bound_state_keyword_is_checked_not_read():

@@ -157,6 +157,26 @@ def test_bound_and_distill_build_no_dense_state(spec_path, tmp_path, monkeypatch
         main(["build", "--spec", spec_path])
 
 
+def test_bound_and_distill_build_no_filter_outcome(spec_path, tmp_path, monkeypatch):
+    """`ed_lower_bound` and `distill` without `--post-out` read the pairs'
+    outcomes as arrays and never construct a `FilterOutcome`, wherever the
+    package holds it; `distill --post-out` does, for the state it writes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a FilterOutcome was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "privdistill" and hasattr(module, "FilterOutcome"):
+            monkeypatch.setattr(module, "FilterOutcome", refuse)
+    from privdistill.bounds import ed_lower_bound
+
+    assert ed_lower_bound(spec_from_json(read_json(spec_path)), restarts=2).pairs
+    args = ["distill", "--spec", spec_path, "--i", "0", "--j", "1", "--restarts", "2",
+            "--out", str(tmp_path / "report.json")]
+    assert main(args) == 0
+    with pytest.raises(AssertionError):
+        main(args + ["--post-out", str(tmp_path / "post.json")])
+
+
 def test_eta_command_report(spec_path, tmp_path):
     out = tmp_path / "eta.json"
     rc = main(["eta", "--spec", spec_path, "--i", "0", "--j", "1",

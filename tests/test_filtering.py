@@ -3,12 +3,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from privdistill.bounds import pair_bounds
 from privdistill.filtering import (
     FilterError,
     apply_filter,
     build_filters,
     filter_outcomes,
-    predict_outcome,
 )
 from privdistill.linalg import kron_all, layout, permute_factors, von_neumann_entropy
 from privdistill.overlap import PairOverlap, optimize_pair, optimize_pairs
@@ -41,11 +41,13 @@ def test_swap_shield_pipeline_exact_values():
     succeed with probability 1/4 and leave the pure + Bell state."""
     spec = two_qubit_shield_spec(np.eye(4) / 4, SWAP)
     res, filters, outcome = run_pipeline(spec)
-    pred = predict_outcome(res, d=2)
+    (bound,) = pair_bounds(spec, [(0, 1)], [res])
     assert abs(outcome.success - 0.25) < 1e-9
-    assert abs(pred.success - 0.25) < 1e-9
+    assert abs(bound.success_pred - 0.25) < 1e-9
+    assert abs(bound.success_sim - 0.25) < 1e-9
     assert abs(outcome.p - 1.0) < 1e-9
-    assert abs(pred.p - 1.0) < 1e-9
+    assert abs(bound.p_pred - 1.0) < 1e-9
+    assert abs(bound.p_sim - 1.0) < 1e-9
     plus = bell_vector(+1, 0, 1, 2, 2)
     assert np.abs(outcome.state.matrix - np.outer(plus, plus.conj())).max() < 1e-9
     assert outcome.residual < 1e-12
@@ -106,10 +108,12 @@ def test_post_filter_state_structure_random_specs():
     for seed in range(6):
         spec = random_spec(2, 2, (2, 2), seed=100 + seed)
         res, _, outcome = run_pipeline(spec, seed=seed)
-        pred = predict_outcome(res, d=2)
+        (bound,) = pair_bounds(spec, [(0, 1)], [res])
         assert outcome.residual < 1e-12
-        assert abs(outcome.success - pred.success) < 1e-12
-        assert abs(outcome.p - pred.p) < 1e-12
+        assert abs(outcome.success - bound.success_pred) < 1e-12
+        assert abs(outcome.p - bound.p_pred) < 1e-12
+        assert abs(bound.success_sim - bound.success_pred) < 1e-12
+        assert abs(bound.p_sim - bound.p_pred) < 1e-12
         assert 0.5 - 1e-12 <= outcome.p <= 1.0 + 1e-12
 
 
@@ -119,9 +123,11 @@ def test_three_party_filtering():
     assert len(filters.party_ops) == 3
     assert outcome.state.dim == 8
     assert outcome.residual < 1e-12
-    pred = predict_outcome(res, d=2)
-    assert abs(outcome.success - pred.success) < 1e-12
-    assert abs(outcome.p - pred.p) < 1e-12
+    (bound,) = pair_bounds(spec, [(0, 1)], [res])
+    assert abs(outcome.success - bound.success_pred) < 1e-12
+    assert abs(outcome.p - bound.p_pred) < 1e-12
+    assert abs(bound.success_sim - bound.success_pred) < 1e-12
+    assert abs(bound.p_sim - bound.p_pred) < 1e-12
 
 
 def test_filter_matches_regroup_then_filter():
@@ -149,8 +155,9 @@ def test_qutrit_key_success_has_two_thirds_factor():
         spec = random_spec(3, 2, (2, 2), seed=seed)
         res, _, outcome = run_pipeline(spec, i=0, j=2, seed=seed)
         assert abs(outcome.success - (2 / 3) * min(res.a1, res.a2)) < 1e-12
-        pred = predict_outcome(res, d=3)
-        assert abs(pred.success - outcome.success) < 1e-12
+        (bound,) = pair_bounds(spec, [(0, 2)], [res])
+        assert abs(bound.success_pred - outcome.success) < 1e-12
+        assert abs(bound.success_pred - bound.success_sim) < 1e-12
 
 
 def test_build_filters_rejects_zero_branch_weight():
@@ -164,16 +171,9 @@ def test_build_filters_rejects_zero_branch_weight():
     with pytest.raises(FilterError):
         build_filters(spec, 0, 1, res)
     with pytest.raises(FilterError):
-        predict_outcome(res, d=2)
-
-
-def test_predict_outcome_needs_the_key_dimension():
-    """The success probability (2/d) min(a1, a2) depends on d, so there is
-    no default: on a d=3 spec a default of 2 would predict 0.629 where the
-    filter succeeds with 0.419."""
-    res = optimize_pair(random_spec(3, 2, (2, 2), seed=1), 0, 1, seed=0)
-    with pytest.raises(TypeError):
-        predict_outcome(res)
+        pair_bounds(spec, [(0, 1)], [res])
+    with pytest.raises(FilterError):
+        filter_outcomes(spec, [res])
 
 
 def test_build_filters_party_count_mismatch():
