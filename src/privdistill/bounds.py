@@ -87,21 +87,15 @@ class PairBound:
     converged: bool
 
 
-def pair_bounds(
-    spec: PrivateStateSpec,
-    pairs: list[tuple[int, int]],
-    results: list[PairOverlap],
-) -> list[PairBound]:
-    """The record of each key pair (i, j) from its overlap result: the
-    simulated outcome of its filters, one stack formed from the Gram blocks
-    of `results` alone (`filtering._gram_outcomes`), and the closed form,
+def pair_bounds(spec: PrivateStateSpec, results: list[PairOverlap]) -> list[PairBound]:
+    """The record of each result's own key pair (i, j): the simulated
+    outcome of its filters, one stack formed from the Gram blocks of
+    `results` alone (`filtering._gram_outcomes`), and the closed form,
     success (2/d) min(a1, a2) and p = 1/2 + eta / (2 sqrt(a1 a2))."""
-    if len(pairs) != len(results):
-        raise ValueError(f"{len(pairs)} key pairs but {len(results)} overlap results")
     _, success, p, residual = _gram_outcomes(spec, results)
     outcomes = zip(success.tolist(), p.tolist(), residual.tolist())
     bounds = []
-    for (i, j), result, (success_sim, p_sim, structure_residual) in zip(pairs, results, outcomes):
+    for result, (success_sim, p_sim, structure_residual) in zip(results, outcomes):
         a1, a2 = result.a1, result.a2
         success_pred = (2.0 / spec.d) * min(a1, a2)
         p_pred = float(0.5 + result.eta / (2.0 * np.sqrt(a1 * a2)))
@@ -109,8 +103,8 @@ def pair_bounds(
             raise ValueError(f"p={p_pred} exceeds 1; eta is inconsistent with the branch weights")
         p_pred = min(p_pred, 1.0)
         bounds.append(PairBound(
-            i=i, j=j, eta=result.eta, a1=a1, a2=a2, theta=result.theta,
-            variant="V" if a2 >= a1 else "W",
+            i=result.i, j=result.j, eta=result.eta, a1=a1, a2=a2, theta=result.theta,
+            variant=result.variant,
             success_pred=success_pred, success_sim=success_sim,
             p_pred=p_pred, p_sim=p_sim, structure_residual=structure_residual,
             paper_rate=max(a1, a2) * hashing_rate(p_pred),
@@ -155,13 +149,11 @@ def ed_lower_bound(
     """
     if state is not None and state.spec is not spec:
         raise ValueError("state was built from another spec")
-    pair_list = [(i, j) for i in range(spec.d) for j in range(i + 1, spec.d)]
     results = optimize_pairs(
-        spec, pair_list,
+        spec, [(i, j) for i in range(spec.d) for j in range(i + 1, spec.d)],
         restarts=restarts, max_iters=max_iters, conv_tol=conv_tol, seed=seed,
     )
-
-    bounds = pair_bounds(spec, pair_list, results)
+    bounds = pair_bounds(spec, results)
 
     eligible = [b for b in bounds if b.converged]
     if eligible:

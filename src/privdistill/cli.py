@@ -132,7 +132,7 @@ def cmd_distill(args: argparse.Namespace) -> int:
     _check_pair(args)
     spec = _load_spec(args.spec)
     result = optimize_pair(spec, args.i, args.j, **_optimizer_config(args))
-    (bound,) = pair_bounds(spec, [(args.i, args.j)], [result])
+    (bound,) = pair_bounds(spec, [result])
     report = report_to_json(bound)
     report["config"] = _optimizer_config(args)
     write_json(report, args.out)

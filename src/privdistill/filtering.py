@@ -40,7 +40,7 @@ class FilterSet:
     """One rectangular filter per party, mapping key_k (x) shield_k to C^2."""
 
     party_ops: tuple[np.ndarray, ...]
-    variant: str  # label only: "V" if the key-j branch is weighted (a2 >= a1), else "W"
+    variant: str  # label only: `PairOverlap.variant` of the pair's result
     i: int
     j: int
 
@@ -64,10 +64,13 @@ def branch_weights(result: PairOverlap) -> tuple[float, complex]:
 
 
 def build_filters(spec, i: int, j: int, result: PairOverlap) -> FilterSet:
-    """Filter bank for key pair (i, j) from the pair's overlap result, with
-    party 0's branch weights from `branch_weights`."""
+    """Filter bank for key pair (i, j) from that pair's overlap result (a
+    result of another pair is refused), with party 0's branch weights from
+    `branch_weights` and the result's `variant` label."""
     if i == j:
         raise ValueError("a filter needs two distinct key values")
+    if (i, j) != (result.i, result.j):
+        raise ValueError(f"key pair {(i, j)} was given the result of pair {(result.i, result.j)}")
     if len(result.bra_vectors) != spec.parties:
         raise ValueError(
             f"overlap result has {len(result.bra_vectors)} product factors, "
@@ -81,8 +84,7 @@ def build_filters(spec, i: int, j: int, result: PairOverlap) -> FilterSet:
         op[0, i * s : (i + 1) * s] = (bra_weight if k == 0 else 1.0) * bra.conj()
         op[1, j * s : (j + 1) * s] = (ket_weight if k == 0 else 1.0) * ket.conj()
         ops.append(op)
-    variant = "V" if result.a2 >= result.a1 else "W"
-    return FilterSet(party_ops=tuple(ops), variant=variant, i=i, j=j)
+    return FilterSet(party_ops=tuple(ops), variant=result.variant, i=i, j=j)
 
 
 def apply_filter(state: PrivateState, filters: FilterSet) -> FilterOutcome:

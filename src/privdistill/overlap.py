@@ -62,16 +62,20 @@ class OverlapResult:
 
 @dataclass(frozen=True)
 class PairOverlap(OverlapResult):
-    """Overlap result of a key pair (i, j), with `gram`, the 2 x 2 block
-    Y rho Y^dagger of the pull-back Y of its product vectors f, g
-    (`pullback`): all that the filtering stage reads of the pair.
-    gram[0, 1] = <f|X|g> is the overlap, and the branch weights
+    """Overlap result of the key pair (i, j) it was optimized for, with
+    `gram`, the 2 x 2 block Y rho Y^dagger of the pull-back Y of its product
+    vectors f, g (`pullback`): all that the filtering stage reads of the
+    pair. gram[0, 1] = <f|X|g> is the overlap, and the branch weights
     a1 = <f|U_i rho U_i^dagger|f> and a2 = <g|U_j rho U_j^dagger|g> are
-    its real diagonal."""
+    its real diagonal. `variant` labels the branch that party 0's filter
+    weights: "V" for key j when a2 >= a1, else "W" for key i."""
 
+    i: int
+    j: int
     gram: np.ndarray
     a1 = property(lambda self: float(self.gram[0, 0].real))
     a2 = property(lambda self: float(self.gram[1, 1].real))
+    variant = property(lambda self: "V" if self.a2 >= self.a1 else "W")
 
 
 def cross_operator(spec: PrivateStateSpec, i: int, j: int) -> np.ndarray:
@@ -255,7 +259,7 @@ def optimize_pairs(
     seed: int = 0,
 ) -> list[PairOverlap]:
     """Cross operator, overlap maximization, and Gram block of every key
-    pair in `pairs`, in one batched ascent.
+    pair in `pairs`, in one batched ascent; each result records its (i, j).
 
     Pair (i, j) draws its starts from SeedSequence(seed, spawn_key=(i, j)),
     so its result is a function of (spec, seed, i, j) and the settings
@@ -274,7 +278,8 @@ def optimize_pairs(
     )
     y = pullback(spec, pairs, bras, kets)
     grams = y @ spec.shield.matrix @ y.conj().transpose(0, 2, 1)
-    return [PairOverlap(**vars(r), gram=g) for r, g in zip(results, grams)]
+    keyed = zip(results, pairs, grams)
+    return [PairOverlap(**vars(r), i=i, j=j, gram=g) for r, (i, j), g in keyed]
 
 
 def pullback(

@@ -18,8 +18,8 @@ from privdistill.bounds import (
     pair_bounds,
 )
 from privdistill.filtering import filter_outcomes
-from privdistill.linalg import layout, partial_trace, von_neumann_entropy
-from privdistill.overlap import optimize_pair, optimize_pairs
+from privdistill.linalg import kron_all, layout, partial_trace, von_neumann_entropy
+from privdistill.overlap import cross_operator, optimize_pair, optimize_pairs
 from privdistill.private_states import (
     PrivateStateSpec,
     build_private_state,
@@ -198,7 +198,7 @@ def test_every_pair_of_the_bound_is_its_one_pair_record(d, dims, restarts, seed)
     for bound in report.pairs:
         pair = (bound.i, bound.j)
         alone = optimize_pair(spec, *pair, restarts=restarts, seed=seed)
-        (record,) = pair_bounds(spec, [pair], [alone])
+        (record,) = pair_bounds(spec, [alone])
         if BITWISE_BLAS:
             assert bound == record
         got, want = dataclasses.asdict(bound), dataclasses.asdict(record)
@@ -209,25 +209,43 @@ def test_every_pair_of_the_bound_is_its_one_pair_record(d, dims, restarts, seed)
             assert abs(value - want[name]) <= 1e-12, name
 
 
-def test_pair_bounds_refuses_pairs_and_results_of_unequal_length():
-    """Zipping one pair with three results labelled pair (0, 1)'s record,
-    eta 0.63429, as pair (1, 2), whose eta is 0.65068. Unequal lengths are
-    refused either way round."""
+def test_pair_bounds_labels_reversed_results_by_their_own_pairs():
+    """Results asked for in reverse order keep their pairs' labels: pair
+    (0, 1) has eta 0.63429 and (1, 2) has 0.65068, which labels taken from
+    a pair list in the other order would swap."""
     spec = random_spec(3, 2, (2, 2), seed=1)
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    results = optimize_pairs(spec, pairs, restarts=0)
-    with pytest.raises(ValueError, match="1 key pairs but 3 overlap results"):
-        pair_bounds(spec, [(1, 2)], results)
-    with pytest.raises(ValueError, match="3 key pairs but 1 overlap results"):
-        pair_bounds(spec, pairs, results[2:])
-    assert [b.eta for b in pair_bounds(spec, pairs[2:], results[2:])] == [results[2].eta]
+    records = pair_bounds(spec, optimize_pairs(spec, [(1, 2), (0, 2), (0, 1)], restarts=0))
+    assert [(b.i, b.j, round(b.eta, 5)) for b in records] == [
+        (1, 2, 0.65068), (0, 2, 0.66928), (0, 1, 0.63429)
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pair_bounds_labels_each_record_with_its_results_pair(d, dims, seed, data):
+    """Whatever the order of the key pairs given to `optimize_pairs`, each
+    record of `pair_bounds` names the pair its result was asked for, and its
+    eta is |f^dagger X g| of that result's product vectors f, g and the
+    cross operator X of the pair the record names."""
+    spec = random_spec(d, len(dims), tuple(dims), seed=seed)
+    pairs = data.draw(st.permutations([(i, j) for i in range(d) for j in range(d) if i != j]))
+    results = optimize_pairs(spec, pairs, restarts=1, seed=seed)
+    for pair, result, b in zip(pairs, results, pair_bounds(spec, results), strict=True):
+        assert (b.i, b.j) == (result.i, result.j) == pair
+        f, g = kron_all(result.bra_vectors), kron_all(result.ket_vectors)
+        assert abs(b.eta - abs(f.conj() @ cross_operator(spec, b.i, b.j) @ g)) <= 1e-12
 
 
 def test_no_pairs_give_no_outcomes_and_no_records():
     spec = random_spec(3, 2, (2, 2), seed=1)
     assert optimize_pairs(spec, []) == []
     assert filter_outcomes(spec, []) == []
-    assert pair_bounds(spec, [], []) == []
+    assert pair_bounds(spec, []) == []
 
 
 def test_ed_lower_bound_state_keyword_is_checked_not_read():

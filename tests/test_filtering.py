@@ -41,7 +41,7 @@ def test_swap_shield_pipeline_exact_values():
     succeed with probability 1/4 and leave the pure + Bell state."""
     spec = two_qubit_shield_spec(np.eye(4) / 4, SWAP)
     res, filters, outcome = run_pipeline(spec)
-    (bound,) = pair_bounds(spec, [(0, 1)], [res])
+    (bound,) = pair_bounds(spec, [res])
     assert abs(outcome.success - 0.25) < 1e-9
     assert abs(bound.success_pred - 0.25) < 1e-9
     assert abs(bound.success_sim - 0.25) < 1e-9
@@ -61,7 +61,7 @@ def test_filter_outcomes_read_only_the_gram_block():
     nan = np.full(2, np.nan, dtype=complex)
     res = PairOverlap(
         eta=0.25, theta=0.0, bra_vectors=[nan, nan], ket_vectors=[nan, nan],
-        converged=True, sweeps=1, start_etas=[0.25], gram=np.ones((2, 2)) / 4,
+        converged=True, sweeps=1, start_etas=[0.25], i=0, j=1, gram=np.ones((2, 2)) / 4,
     )
     (outcome,) = filter_outcomes(spec, [res])
     assert outcome.success == 0.25
@@ -108,7 +108,7 @@ def test_post_filter_state_structure_random_specs():
     for seed in range(6):
         spec = random_spec(2, 2, (2, 2), seed=100 + seed)
         res, _, outcome = run_pipeline(spec, seed=seed)
-        (bound,) = pair_bounds(spec, [(0, 1)], [res])
+        (bound,) = pair_bounds(spec, [res])
         assert outcome.residual < 1e-12
         assert abs(outcome.success - bound.success_pred) < 1e-12
         assert abs(outcome.p - bound.p_pred) < 1e-12
@@ -123,7 +123,7 @@ def test_three_party_filtering():
     assert len(filters.party_ops) == 3
     assert outcome.state.dim == 8
     assert outcome.residual < 1e-12
-    (bound,) = pair_bounds(spec, [(0, 1)], [res])
+    (bound,) = pair_bounds(spec, [res])
     assert abs(outcome.success - bound.success_pred) < 1e-12
     assert abs(outcome.p - bound.p_pred) < 1e-12
     assert abs(bound.success_sim - bound.success_pred) < 1e-12
@@ -155,7 +155,7 @@ def test_qutrit_key_success_has_two_thirds_factor():
         spec = random_spec(3, 2, (2, 2), seed=seed)
         res, _, outcome = run_pipeline(spec, i=0, j=2, seed=seed)
         assert abs(outcome.success - (2 / 3) * min(res.a1, res.a2)) < 1e-12
-        (bound,) = pair_bounds(spec, [(0, 2)], [res])
+        (bound,) = pair_bounds(spec, [res])
         assert abs(bound.success_pred - outcome.success) < 1e-12
         assert abs(bound.success_pred - bound.success_sim) < 1e-12
 
@@ -165,13 +165,13 @@ def test_build_filters_rejects_zero_branch_weight():
         eta=0.0, theta=0.0,
         bra_vectors=[np.array([1, 0], dtype=complex)] * 2,
         ket_vectors=[np.array([0, 1], dtype=complex)] * 2,
-        converged=True, sweeps=1, start_etas=[0.0], gram=np.diag([0.0, 0.5]),
+        converged=True, sweeps=1, start_etas=[0.0], i=0, j=1, gram=np.diag([0.0, 0.5]),
     )
     spec = random_spec(2, 2, (2, 2), seed=0)
     with pytest.raises(FilterError):
         build_filters(spec, 0, 1, res)
     with pytest.raises(FilterError):
-        pair_bounds(spec, [(0, 1)], [res])
+        pair_bounds(spec, [res])
     with pytest.raises(FilterError):
         filter_outcomes(spec, [res])
 
@@ -189,6 +189,17 @@ def test_build_filters_needs_two_key_values():
     res = optimize_pair(spec, 0, 1, seed=0)
     with pytest.raises(ValueError):
         build_filters(spec, 1, 1, res)
+
+
+def test_build_filters_refuses_the_result_of_another_pair():
+    """Pair (0, 1)'s product vectors on key blocks 0 and 2 filter no pair
+    of the state; the result names its pair, and another pair is refused."""
+    spec = random_spec(3, 2, (2, 2), seed=0)
+    res = optimize_pair(spec, 0, 1, seed=0)
+    assert (res.i, res.j) == (0, 1)
+    for i, j in ((0, 2), (1, 0)):
+        with pytest.raises(ValueError, match=rf"key pair \({i}, {j}\) .* pair \(0, 1\)"):
+            build_filters(spec, i, j, res)
 
 
 @settings(max_examples=25, deadline=None)
