@@ -23,7 +23,6 @@ from .linalg import (
     LayoutError,
     SubsystemLayout,
     factor_permutation,
-    hermitian_eig,
     kron_all,
     layout,
     partial_trace,

@@ -60,7 +60,13 @@ def key_rate(spec: PrivateStateSpec) -> float:
 class PairBound:
     """Filtering outcome and rates of one key pair i < j.
 
-    `verified_rate` is the rate the simulated filter achieves. `paper_rate`
+    `verified_rate` is the rate the simulated filter achieves. Any product
+    vectors give a local filter, so it is an achievable bound whether or not
+    the ascent converged; `converged` only says whether the ascent that
+    chose the vectors reached its fixed point. `success_sim`/`p_sim` and
+    `success_pred`/`p_pred` both come from the pair's Gram block, so they
+    agree by algebra; the dense `filtering.apply_filter` is the independent
+    route. `paper_rate`
     is an uncertified closed form, max(a1, a2) * (1 - H(p_pred)): it exceeds
     `verified_rate` by the factor d * max(a1, a2) / (2 * min(a1, a2)),
     because the filter succeeds with probability (2/d) * min(a1, a2).
@@ -121,7 +127,7 @@ class BoundReport:
     shield_dims: tuple[int, ...]
     key_rate: float
     pairs: tuple[PairBound, ...]
-    best_pair: tuple[int, int] | None
+    best_pair: tuple[int, int]
     best_paper_rate: float
     best_verified_rate: float
     all_converged: bool
@@ -141,8 +147,12 @@ def ed_lower_bound(
     of every pair and forms its block G = Y rho Y^dagger (`optimize_pairs`),
     and one stack simulates every pair's filters from G alone (`pair_bounds`,
     with no dense state, no filter bank and no second pull-back). Each pair
-    records its verified and paper rates (see PairBound). Pairs whose
-    ascent never converged are kept but excluded from the best-pair choice.
+    records its verified and paper rates (see PairBound). Every pair's
+    filter is a real one, so `best_pair` is the pair of the largest
+    `verified_rate` over all pairs (the first on a tie), and
+    `best_verified_rate` and `best_paper_rate` are the largest of each
+    rate over all pairs; `converged` and `all_converged` are quality flags
+    only.
 
     `state` is kept for call compatibility and is not read; if given, it
     must be the state of this very spec object.
@@ -155,23 +165,16 @@ def ed_lower_bound(
     )
     bounds = pair_bounds(spec, results)
 
-    eligible = [b for b in bounds if b.converged]
-    if eligible:
-        best = max(eligible, key=lambda b: b.verified_rate)
-        best_pair = (best.i, best.j)
-        best_verified = best.verified_rate
-        best_paper = max(b.paper_rate for b in eligible)
-    else:
-        best_pair, best_verified, best_paper = None, 0.0, 0.0
+    best = max(bounds, key=lambda b: b.verified_rate)
     return BoundReport(
         d=spec.d,
         parties=spec.parties,
         shield_dims=tuple(spec.shield_dims),
         key_rate=key_rate(spec),
         pairs=tuple(bounds),
-        best_pair=best_pair,
-        best_paper_rate=best_paper,
-        best_verified_rate=best_verified,
+        best_pair=(best.i, best.j),
+        best_paper_rate=max(b.paper_rate for b in bounds),
+        best_verified_rate=best.verified_rate,
         all_converged=all(b.converged for b in bounds),
     )
 

@@ -23,7 +23,7 @@ import functools
 import os
 import sys
 
-from .bounds import CERT_SAMPLES, CERT_TOL, BoundReport, ed_lower_bound, ef_certificate, pair_bounds
+from .bounds import CERT_SAMPLES, CERT_TOL, ed_lower_bound, ef_certificate, pair_bounds
 from .filtering import filter_outcomes
 from .linalg import CONV_TOL, MAX_ITERS, RESTARTS
 from .overlap import optimize_pair
@@ -162,18 +162,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _best_pair_row(report: BoundReport) -> tuple[float, float, float, float]:
-    for pair in report.pairs:
-        if report.best_pair == (pair.i, pair.j):
-            return pair.eta, pair.p_pred, pair.paper_rate, pair.verified_rate
-    return 0.0, 0.5, 0.0, 0.0  # no pair converged
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     """One CSV row per knob value, from the best-verified pair of that
-    spec's `bound` report: its `eta`, `p_pred` (`p`) and own `paper_rate`,
-    and `best_verified_rate`. The report's `best_paper_rate` may belong to
-    another converged pair, so `paper_rate` can read below it."""
+    spec's `bound` report, chosen over all pairs, converged or not: its
+    `eta`, `p_pred` (`p`), own `paper_rate` and `verified_rate` (the
+    report's `best_verified_rate`). The report's `best_paper_rate` may
+    belong to another pair, so `paper_rate` can read below it. `p_pred`
+    comes from the same Gram block as the simulated `p_sim`, and agrees
+    with it by algebra."""
     base = random_spec(args.d, args.parties, args.shield_dims, args.seed)
     total = base.shield_total_dim
     lines = ["knob,eta,p,paper_rate,verified_rate\n"]
@@ -191,8 +187,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             spec = depolarized_spec(base, weight)
             label = repr(weight)
         report = ed_lower_bound(spec, **_optimizer_config(args))
-        eta, p, paper, verified = _best_pair_row(report)
-        lines.append(f"{label},{eta!r},{p!r},{paper!r},{verified!r}\n")
+        b = next(b for b in report.pairs if (b.i, b.j) == report.best_pair)
+        lines.append(f"{label},{b.eta!r},{b.p_pred!r},{b.paper_rate!r},{b.verified_rate!r}\n")
     write_text("".join(lines), args.out)
     return 0
 

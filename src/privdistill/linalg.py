@@ -80,14 +80,6 @@ def layout(factors: Sequence[tuple[str, int, int, str]]) -> SubsystemLayout:
     return SubsystemLayout(tuple(Factor(*f) for f in factors))
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray   # real, shape (n,), descending
-    eigenvectors: np.ndarray  # complex, shape (n, n), column k pairs with eigenvalue k
-
-
 def as_complex(mat: np.ndarray) -> np.ndarray:
     """View input as a complex ndarray, rejecting non-finite entries."""
     out = np.asarray(mat, dtype=complex)
@@ -151,17 +143,6 @@ def partial_trace(
     reduced = np.einsum(tensor, row_axes, out_axes)
     d_keep = int(np.prod([dims[j] for j in keep_idx]))
     return reduced.reshape(d_keep, d_keep)
-
-
-def hermitian_eig(mat: np.ndarray) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    mat = as_complex(mat)
-    defect = hermiticity_defect(mat)
-    if defect > HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian (scaled defect {defect:.3e})")
-    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-    order = np.argsort(vals)[::-1]
-    return HermitianEig(eigenvalues=vals[order], eigenvectors=vecs[:, order])
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:

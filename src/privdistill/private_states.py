@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    SubsystemLayout,
-    factor_permutation,
-    hermitian_eig,
-    kron_all,
-    layout,
-)
+from .linalg import SubsystemLayout, factor_permutation, kron_all, layout
 from .states import (
     UNITARY_TOL,
     DensityMatrix,
@@ -195,22 +189,20 @@ def eigenvectors_of_pdit(spec: PrivateStateSpec) -> list[tuple[float, np.ndarray
         (lam, (1/sqrt d) sum_j |j...j> (x) U_j phi),
 
     for any number of parties. So the state's spectrum is the shield's,
-    padded with zeros.
+    padded with zeros. The pairs come largest eigenvalue first.
     """
     d, n = spec.d, spec.parties
-    key_dim = d**n
-    s = spec.shield_total_dim
-    eig = hermitian_eig(spec.shield.matrix)
-    pairs: list[tuple[float, np.ndarray]] = []
-    for lam, phi in zip(eig.eigenvalues, eig.eigenvectors.T):
-        if lam <= EIGENVALUE_CUTOFF:
-            continue
-        psi = np.zeros(key_dim * s, dtype=complex)
-        for j in range(d):
-            block = repeated_key_index(j, d, n)
-            psi[block * s : (block + 1) * s] = spec.unitaries[j].matrix @ phi
-        pairs.append((float(lam), psi / np.sqrt(d)))
-    return pairs
+    # the shield was checked Hermitian when the spec was made
+    vals, vecs = np.linalg.eigh(spec.shield.matrix)
+    keep = np.flatnonzero(vals > EIGENVALUE_CUTOFF)[::-1]
+    us = np.array([u.matrix for u in spec.unitaries])
+    # row (k, j) of `lifted` is U_j phi_k / sqrt(d): one batched product,
+    # written into the repeated-key rows |j..j> as `build_private_state` does
+    lifted = (us @ vecs[:, keep]).transpose(2, 0, 1) / np.sqrt(d)
+    psi = np.zeros((len(keep), d**n, spec.shield_total_dim), dtype=complex)
+    psi[:, :: repeated_key_index(1, d, n)] = lifted
+    psi = psi.reshape(len(keep), spec.total_dim)
+    return [(float(lam), vec) for lam, vec in zip(vals[keep], psi)]
 
 
 def tensor_power_spec(spec: PrivateStateSpec, m: int) -> tuple[PrivateStateSpec, np.ndarray]:

@@ -171,13 +171,36 @@ def test_ed_lower_bound_determinism():
 
 def test_slow_pair_converges_within_the_default_sweeps():
     """The one pair of this depolarized spec converges slowly: plain ascent
-    needed about 1000 sweeps, so with the default 200 it was left out of
-    the best-pair choice and the bound read 0. Its filter achieves about
-    0.125545 (plain ascent run to 5000 sweeps)."""
+    needed about 1000 sweeps, so it did not converge within the default
+    200. Its filter achieves about 0.125545 (plain ascent run to 5000
+    sweeps). A pair that has not converged still reports its rate (0.128
+    after 5 sweeps), so only the flags show that the ascent converged."""
     report = ed_lower_bound(depolarized_spec(random_spec(2, 2, (2, 4), seed=0), 0.9), seed=0)
-    assert report.pairs[0].converged
+    assert report.pairs[0].converged and report.all_converged
     assert report.best_pair == (0, 1)
     assert report.best_verified_rate >= 0.1255
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    restarts=st.integers(0, 4),
+    max_iters=st.sampled_from([0, 1, 2, 200]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_best_pair_and_rates_are_taken_over_all_pairs(d, dims, restarts, max_iters, seed):
+    """Every pair's filter is a real one, converged or not: the best rates
+    are the largest over all pairs, and `best_pair` names the first record
+    of the largest verified rate. With `max_iters` 0 no pair converges."""
+    spec = random_spec(d, len(dims), tuple(dims), seed=seed)
+    report = ed_lower_bound(spec, restarts=restarts, max_iters=max_iters, seed=seed)
+    rates = [b.verified_rate for b in report.pairs]
+    best = report.pairs[rates.index(max(rates))]
+    assert report.best_pair == (best.i, best.j)
+    assert report.best_verified_rate == best.verified_rate
+    assert report.best_paper_rate == max(b.paper_rate for b in report.pairs)
+    assert report.all_converged == all(b.converged for b in report.pairs)
 
 
 @settings(max_examples=20, deadline=None)

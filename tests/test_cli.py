@@ -241,6 +241,32 @@ def test_bound_command(spec_path, tmp_path):
     assert obj["config"]["seed"] == 1
 
 
+def test_bound_names_a_best_pair_that_has_not_converged(tmp_path):
+    """After 3 sweeps no pair of the d = 3 seed-5 spec has converged; the
+    report still names the best pair, (1, 2), with its own verified rate.
+    A sweep row at `--max-iters 0` is its report's best pair, not a filler."""
+    spec = str(tmp_path / "spec.json")
+    assert main(["gen", "--d", "3", "--shield-dims", "2,2", "--seed", "5", "--out", spec]) == 0
+    out = str(tmp_path / "bound.json")
+    assert main(["bound", "--spec", spec, "--max-iters", "3", "--restarts", "4",
+                 "--out", out]) == 0
+    obj = read_json(out)
+    assert obj["best_pair"] == [1, 2] and obj["all_converged"] is False
+    (best,) = [p for p in obj["pairs"] if [p["i"], p["j"]] == [1, 2]]
+    assert obj["best_verified_rate"] == best["verified_rate"]
+    assert round(best["verified_rate"], 4) == 0.4041
+
+    settings = ["--seed", "5", "--max-iters", "0", "--restarts", "4"]
+    assert main(["bound", "--spec", spec, *settings, "--out", out]) == 0
+    obj = read_json(out)
+    (best,) = [p for p in obj["pairs"] if [p["i"], p["j"]] == obj["best_pair"]]
+    assert main(["sweep", "--d", "3", "--shield-dims", "2,2", "--knob", "depolarize",
+                 "--values", "0", *settings, "--out", str(tmp_path / "sweep.csv")]) == 0
+    row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+    names = ("eta", "p_pred", "paper_rate", "verified_rate")
+    assert [float(x) for x in row[1:]] == [best[name] for name in names]
+
+
 def test_certify_command(spec_path, tmp_path):
     out = tmp_path / "cert.json"
     assert main(["certify", "--spec", spec_path, "--samples", "20",

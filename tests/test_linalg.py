@@ -4,7 +4,6 @@ import pytest
 from privdistill.linalg import (
     LayoutError,
     factor_permutation,
-    hermitian_eig,
     hermiticity_defect,
     kron_all,
     layout,
@@ -99,24 +98,6 @@ def test_partial_trace_empty_keep_rejected():
     lay = layout([("A", 2, 0, "key")])
     with pytest.raises(LayoutError):
         partial_trace(np.eye(2), lay, [])
-
-
-def test_hermitian_eig_descending_and_residual():
-    for seed in range(8):
-        m = random_hermitian(6, seed)
-        eig = hermitian_eig(m)
-        vals, vecs = eig.eigenvalues, eig.eigenvectors
-        assert np.all(np.diff(vals) <= 1e-12)
-        for k in range(6):
-            residual = np.linalg.norm(m @ vecs[:, k] - vals[k] * vecs[:, k])
-            assert residual < 1e-10
-        assert np.abs(vecs.conj().T @ vecs - np.eye(6)).max() < 1e-10
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        hermitian_eig(m)
 
 
 def test_hermiticity_defect_scale_invariant():

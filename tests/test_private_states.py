@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from privdistill.bounds import key_rate
-from privdistill.linalg import hermitian_eig, layout
+from privdistill.linalg import layout
 from privdistill.private_states import (
     PrivateStateSpec,
     build_private_state,
@@ -103,7 +103,8 @@ def test_eigenvector_lift_matches_direct_diagonalization():
             residual = np.linalg.norm(state.rho.matrix @ psi - lam * psi)
             assert residual < 1e-10
         lifted = sorted(lam for lam, _ in pairs)
-        direct = hermitian_eig(state.rho.matrix).eigenvalues
+        assert [lam for lam, _ in pairs] == lifted[::-1]  # largest first
+        direct = np.linalg.eigvalsh(state.rho.matrix)
         direct_nonzero = sorted(v for v in direct if v > 1e-12)
         assert np.allclose(lifted, direct_nonzero, atol=1e-10)
         assert abs(sum(lifted) - 1) < 1e-10
