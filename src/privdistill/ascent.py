@@ -213,13 +213,12 @@ def ascend(
     flag of every start.
     """
     cuts = _plan(dims)[0]
-    ops = np.arange(len(xs))  # the operators in the batch
     w = stack_product(row_kron([a.conj() for a in bras]), xs)
     value = np.einsum("bc,bc->b", w, row_kron(kets))
     del w
     sweeps = np.full(value.size, max_iters)  # until a start converges
     converged = np.zeros(value.size, dtype=bool)
-    live = np.arange(value.size)  # the rows in the batch
+    live = np.arange(value.size)  # the rows in the batch, c per slot
     factors = bras + kets
     # Per start in the batch: the point z that the sweep fits in place; the
     # point x it swept from; the best accepted point; and
@@ -262,7 +261,7 @@ def ascend(
         sweeps[live[done]] = it
         best[done] = np.inf  # frozen
         # before the last sweep, a start stops only by converging
-        stays = ~converged.reshape(-1, c)[ops].all(axis=1) & (it < max_iters)
+        stays = ~converged[live].reshape(-1, c).all(axis=1) & (it < max_iters)
         if stays.all():
             continue
         gone = np.repeat(~stays, c)
@@ -274,12 +273,11 @@ def ascend(
         k = np.count_nonzero(stays)  # the last operators that stay fill the holes
         holes, movers = np.flatnonzero(~stays[:k]), k + np.flatnonzero(stays[k:])
         xs[holes] = xs[movers]
-        ops[holes] = ops[movers]
         holes, movers = (np.add.outer(c * a, np.arange(c)).ravel() for a in (holes, movers))
         for a in (z, x, best_y, best_value, best, live):
             a[holes] = a[movers]
         hist[:, holes] = hist[:, movers]
-        xs, ops, hist = xs[:k], ops[:k], hist[:, : k * c]
+        xs, hist = xs[:k], hist[:, : k * c]
         z, x, best_y, best_value, best, live = (
             a[: k * c] for a in (z, x, best_y, best_value, best, live)
         )

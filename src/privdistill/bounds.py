@@ -81,7 +81,6 @@ class PairBound:
     eta: float
     a1: float
     a2: float
-    theta: float
     variant: str
     success_pred: float
     success_sim: float
@@ -109,8 +108,7 @@ def pair_bounds(spec: PrivateStateSpec, results: list[PairOverlap]) -> list[Pair
             raise ValueError(f"p={p_pred} exceeds 1; eta is inconsistent with the branch weights")
         p_pred = min(p_pred, 1.0)
         bounds.append(PairBound(
-            i=result.i, j=result.j, eta=result.eta, a1=a1, a2=a2, theta=result.theta,
-            variant=result.variant,
+            i=result.i, j=result.j, eta=result.eta, a1=a1, a2=a2, variant=result.variant,
             success_pred=success_pred, success_sim=success_sim,
             p_pred=p_pred, p_sim=p_sim, structure_residual=structure_residual,
             paper_rate=max(a1, a2) * hashing_rate(p_pred),

@@ -117,7 +117,6 @@ def cmd_eta(args: argparse.Namespace) -> int:
         "i": args.i,
         "j": args.j,
         "eta": result.eta,
-        "theta": result.theta,
         "a1": result.a1,
         "a2": result.a2,
         "converged": result.converged,
@@ -257,8 +256,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         _fill_settings(args)
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

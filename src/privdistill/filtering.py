@@ -6,15 +6,15 @@ values i and j and projects its shield onto the corresponding product
 factor. Party 0 balances the two surviving branches, of weights a1 (key
 i) and a2 (key j), with m = min(a1, a2):
 
-    F_0 = sqrt(m/a1) |0><i| (x) <f_0|  +  sqrt(m/a2) e^{i theta} |1><j| (x) <g_0|.
+    F_0 = sqrt(m/a1) |0><i| (x) <f_0|  +  sqrt(m/a2) |1><j| (x) <g_0|.
 
 The weight below 1 falls on the heavier branch, so F_0 F_0^dagger <= I:
 only a contraction is one outcome of a local operation (a weight above 1
 would claim success (2/d) max(a1, a2), which no filter achieves). Every
 other party applies P_k = |0><i| (x) <f_k| + |1><j| (x) <g_k|. The
 surviving state lives on N two-level keys and is a mixture of the two
-generalized Bell states (|0...0> +/- |1...1>)/sqrt(2). It is a 2 x 2
-function of the pair's Gram block, evaluated once per pair (`_gram_outcomes`).
+generalized Bell states (|0...0> +/- |1...1>)/sqrt(2). Since <f|X|g> is real
+and >= 0, it is a function of the pair's Gram block alone (`_gram_outcomes`).
 """
 
 from __future__ import annotations
@@ -53,14 +53,15 @@ class FilterOutcome:
     residual: float  # entrywise distance from the two-Bell-state form
 
 
-def branch_weights(result: PairOverlap) -> tuple[float, complex]:
-    """Party 0's weights of the key-i and key-j branches, sqrt(m/a1) and
-    sqrt(m/a2) e^{i theta} with m = min(a1, a2)."""
-    a1, a2 = result.a1, result.a2
-    if min(a1, a2) <= 0.0:
+def branch_weights(grams: np.ndarray) -> np.ndarray:
+    """Party 0's real weights sqrt(m/a1), sqrt(m/a2) of the key-i and key-j
+    branches of each block of the (pairs, 2, 2) Gram stack `grams`, as a
+    (pairs, 2) array; a1, a2 are a block's diagonal and m = min(a1, a2)."""
+    a = np.diagonal(grams, axis1=1, axis2=2).real
+    if (a <= 0.0).any():
+        a1, a2 = a[np.argmax((a <= 0.0).any(axis=1))]
         raise FilterError(f"branch weights a1={a1:.3e}, a2={a2:.3e} must be positive to filter")
-    m = min(a1, a2)
-    return np.sqrt(m / a1), np.sqrt(m / a2) * np.exp(1j * result.theta)
+    return np.sqrt(a.min(axis=1, keepdims=True) / a)
 
 
 def build_filters(spec, i: int, j: int, result: PairOverlap) -> FilterSet:
@@ -76,7 +77,7 @@ def build_filters(spec, i: int, j: int, result: PairOverlap) -> FilterSet:
             f"overlap result has {len(result.bra_vectors)} product factors, "
             f"spec has {spec.parties} parties"
         )
-    bra_weight, ket_weight = branch_weights(result)
+    bra_weight, ket_weight = branch_weights(result.gram[None])[0]
     ops = []
     for k, (bra, ket) in enumerate(zip(result.bra_vectors, result.ket_vectors)):
         s = bra.shape[0]
@@ -125,15 +126,15 @@ def _gram_outcomes(spec: PrivateStateSpec, results: list[PairOverlap]) -> tuple[
     The state is (1/d) sum_{a,b} |a..a><b..b| (x) U_a rho U_b^dagger, and
     the product filter maps |i..i> (x) phi to w_i <f|phi> |0..0> and
     |j..j> (x) phi to w_j <g|phi> |1..1>, for the product vectors f, g and
-    party 0's weights w (`branch_weights`); every other key string goes to
-    zero. So the filtered state is (1/d) W G W^dagger on the corners, with
+    party 0's real weights w (`branch_weights`); every other key string
+    goes to zero. So the filtered state is (1/d) W G W on the corners, with
     W = diag(w_i, w_j) and the pair's Gram block G = Y rho Y^dagger
     (`PairOverlap.gram`, formed by `optimize_pairs`): no D x D matrix, no
     pull-back and O(1) per pair whatever N and s.
     """
-    w = np.array([branch_weights(r) for r in results]).reshape(-1, 2)
     gram = np.array([r.gram for r in results]).reshape(-1, 2, 2)
-    return _outcomes(w[:, :, None] * gram * w[:, None, :].conj() / spec.d, 1)
+    w = branch_weights(gram)
+    return _outcomes(w[:, :, None] * gram * w[:, None, :] / spec.d, 1)
 
 
 def _outcomes(out: np.ndarray, bits: int) -> tuple[np.ndarray, ...]:

@@ -45,14 +45,12 @@ class OverlapResult:
     accepted or not. `start_etas` holds the reported overlap of every
     start, its best accepted one, in start order.
 
-    `theta` is the phase of the best start's overlap. It is 0.0 whenever
-    that start had an accepted sweep, because `ascent.sweep` leaves the
-    overlap real and nonnegative; it can be nonzero only with
-    `max_iters=0` or when no sweep of that start was accepted.
+    The overlap <f|X|g> of the returned factors is real, >= 0 and `eta` to
+    rounding: `ascent.sweep` leaves it so, and a best start with no accepted
+    sweep (`max_iters=0`) has its first ket factor turned by the phase.
     """
 
     eta: float
-    theta: float
     bra_vectors: list[np.ndarray]
     ket_vectors: list[np.ndarray]
     converged: bool
@@ -193,19 +191,24 @@ def _overlaps(
     if etas[best].min() < ETA_FLOOR:
         warnings.warn(
             f"product overlap {etas[best].min():.3e} is below {ETA_FLOOR:.0e}; "
-            "its phase is numerically meaningless",
+            "its phase, folded into the product vectors, is numerically meaningless",
             stacklevel=3,
         )
     bras, kets = [f[best] for f in bras], [g[best] for g in kets]
+    # g_1 times |v|/v = cos - i sin gives <f|X|g> = eta, in real arithmetic: a
+    # complex multiply may round a row by the number of rows (fused or not)
+    v, eta = value[best], etas[best][:, None]
+    turn = (v.imag != 0.0) | (v.real < 0.0)
+    ket, cos, sin = kets[0][turn], v.real[turn, None] / eta[turn], v.imag[turn, None] / eta[turn]
+    kets[0].real[turn] = ket.real * cos + ket.imag * sin
+    kets[0].imag[turn] = ket.imag * cos - ket.real * sin
     results = [
         OverlapResult(
-            eta=float(etas[b]), theta=float(theta),
+            eta=float(etas[b]),
             bra_vectors=[f[k] for f in bras], ket_vectors=[g[k] for g in kets],
             converged=bool(converged[b]), sweeps=int(sweeps[b]), start_etas=e.tolist(),
         )
-        for k, (b, theta, e) in enumerate(
-            zip(best, np.angle(value[best]), etas.reshape(-1, c))
-        )
+        for k, (b, e) in enumerate(zip(best, etas.reshape(-1, c)))
     ]
     return results, bras, kets
 

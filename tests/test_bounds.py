@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BITWISE_BLAS
@@ -210,6 +210,10 @@ def test_best_pair_and_rates_are_taken_over_all_pairs(d, dims, restarts, max_ite
     restarts=st.integers(0, 4),
     seed=st.integers(0, 2**32 - 1),
 )
+# The best start of pair (2, 3) has no accepted sweep, so its first ket factor
+# is turned by the overlap's phase; one row alone must get the bits it gets
+# among six.
+@example(d=4, dims=[1, 1], restarts=1, seed=0)
 def test_every_pair_of_the_bound_is_its_one_pair_record(d, dims, restarts, seed):
     """Each PairBound of `ed_lower_bound` is the record `pair_bounds` builds
     for that pair alone from `optimize_pair` with the same seed: equal on

@@ -363,6 +363,23 @@ def test_malformed_env_default_gives_one_line_error(spec_path, monkeypatch, caps
     assert capsys.readouterr().err == "error: bad value for PRIVDISTILL_RESTARTS: 'abc'\n"
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+def test_out_of_memory_gives_one_line_error(tmp_path, monkeypatch, capsys, message):
+    """A spec too large to allocate (`gen --shield-dims 1000,1000` asks for
+    7.28 TiB) exits 1 with one `error:` line, also for a MemoryError with
+    no message, and writes no file. The failing allocation is stood in for,
+    not made."""
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "random_spec", too_large)
+    out = tmp_path / "spec.json"
+    assert main(["gen", "--shield-dims", "1000,1000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and len(err[0]) > len("error: ")
+    assert not out.exists()
+
+
 def test_malformed_env_value_fails_only_a_command_that_reads_it(spec_path, tmp_path, monkeypatch):
     """PRIVDISTILL_RESTARTS is read only by a command with `--restarts`,
     and only when that flag is not given."""

@@ -60,7 +60,7 @@ def test_filter_outcomes_read_only_the_gram_block():
     spec = two_qubit_shield_spec(np.eye(4) / 4, SWAP)
     nan = np.full(2, np.nan, dtype=complex)
     res = PairOverlap(
-        eta=0.25, theta=0.0, bra_vectors=[nan, nan], ket_vectors=[nan, nan],
+        eta=0.25, bra_vectors=[nan, nan], ket_vectors=[nan, nan],
         converged=True, sweeps=1, start_etas=[0.25], i=0, j=1, gram=np.ones((2, 2)) / 4,
     )
     (outcome,) = filter_outcomes(spec, [res])
@@ -162,7 +162,7 @@ def test_qutrit_key_success_has_two_thirds_factor():
 
 def test_build_filters_rejects_zero_branch_weight():
     res = PairOverlap(
-        eta=0.0, theta=0.0,
+        eta=0.0,
         bra_vectors=[np.array([1, 0], dtype=complex)] * 2,
         ket_vectors=[np.array([0, 1], dtype=complex)] * 2,
         converged=True, sweeps=1, start_etas=[0.0], i=0, j=1, gram=np.diag([0.0, 0.5]),
