@@ -21,6 +21,13 @@ factors of a sweep (bras, then kets) form one group for N <= 2; for N = 3
 and N = 4 each half-sweep is one, for N = 5 and up there are more, of
 near-equal sizes. A whole sweep as one group would reach eta^(2^(2N-1)),
 eta^32 for N = 3 and eta^128 for N = 4.
+
+`ascend` binds its batch's sweep once: the buffers of its products and
+contractions, the factor views and each group's columns are set up when
+the ascent starts, and each swap-remove re-slices them to the rows that
+stay, as prefixes of the same buffers. A sweep then makes only its NumPy
+calls, the same calls on the same shapes, in the same order, as a sweep
+set up from scratch (`sweep`), so each row gets the same bits either way.
 """
 
 from __future__ import annotations
@@ -40,8 +47,9 @@ def row_kron(factors: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def stack_product(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Row r of the result is rows[r] @ ops[r // c], for rows c per operator.
+def stack_product(rows: np.ndarray, ops: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row r of the result is rows[r] @ ops[r // c], for rows c per operator,
+    written into `out` (of the shape of `rows`) when it is given.
 
     One batched matmul of the (operators, c, dim) rows by the stack. NumPy
     multiplies each operator of a batch by the same BLAS call, with the
@@ -50,7 +58,9 @@ def stack_product(rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
     stack, if the BLAS gives equal bits for equal calls.
     """
     batch = rows.reshape(len(ops), len(rows) // max(len(ops), 1), rows.shape[1])
-    return np.matmul(batch, ops).reshape(rows.shape)
+    if out is not None:
+        out = out.reshape(batch.shape)
+    return np.matmul(batch, ops, out=out).reshape(rows.shape)
 
 
 @functools.cache
@@ -58,7 +68,7 @@ def _plan(dims: tuple[int, ...]) -> tuple:
     """The fixed layout of a sweep over factors of `dims`.
 
     Returns the column cuts of a start's point (bras, then kets), the
-    `einsum` chain of each factor (see `_contract`), and per normalization
+    `einsum` chain of each factor (see `_BoundSweep`), and per normalization
     group its factors, its float columns, the offsets of its factors among
     them (`reduceat`) and the factor of each of them.
     """
@@ -94,23 +104,103 @@ def _columns(a: np.ndarray, cuts: tuple[int, ...]) -> list[np.ndarray]:
     return [a[:, lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def _contract(t: np.ndarray, chain: list, conjs: list[np.ndarray], out: np.ndarray) -> None:
-    """Write into `out` the contraction of the (rows, *dims) array t with the
-    conjugate factors `conjs` of every axis but one, row by row.
+class _BoundSweep:
+    """The sweep (`sweep`) of one batch, bound once.
 
-    Each `einsum` of the chain contracts one axis, the last first, so every
-    entry sums its terms in index order however many rows there are. One
-    `einsum` over several axes can sum in another order when its output has
-    a single entry (one row, a factor of dim 1), and a start would then not
-    follow the path it follows in a larger batch.
+    Its buffers are allocated once, full size: the product rows, the
+    row-wise Kronecker products of the factors' prefixes that the product
+    takes (as `row_kron` forms them), and each chain step's `einsum`
+    intermediate. `bind` turns every call of a sweep into a step bound to
+    its operands: views of these buffers, of z and of its scratch, cut to
+    the first operators of the stack and their rows. The ascent keeps its
+    state in such prefixes as operators leave (a swap-remove), so it
+    rebinds there and allocates no buffer; a sweep only runs its steps.
+
+    Each factor is fitted to a chain of `einsum`s, each of which contracts
+    one axis, the last first, so every entry sums its terms in index order
+    however many rows there are. One `einsum` over several axes can sum in
+    another order when its output has a single entry (one row, a factor of
+    dim 1), and a start would then not follow the path it follows in a
+    larger batch.
     """
-    if not chain:  # one factor: nothing to contract
-        np.copyto(out, t)
-        return
-    for m, axes, conj_axes, kept in chain[:-1]:
-        t = np.einsum(t, axes, conjs[m], conj_axes, kept)
-    m, axes, conj_axes, kept = chain[-1]
-    np.einsum(t, axes, conjs[m], conj_axes, kept, out=out)
+
+    def __init__(self, xs: np.ndarray, dims: tuple[int, ...], z: np.ndarray, scratch: np.ndarray):
+        self.full, self.dims = (xs, z, scratch), dims
+        self.c = len(z) // max(len(xs), 1)
+        self.cuts, self.chains, self.plan_groups = _plan(dims)
+        widths = np.cumprod(dims).tolist()
+        self.krons = [np.empty((len(z), w), z.dtype) for w in widths[1:]]
+        self.product = np.empty((len(z), widths[-1]), z.dtype)
+        self.inter = [  # the output of every step of a chain but the last
+            [np.empty((len(z),) + tuple(dims[a - 1] for a in kept[1:]), z.dtype)
+             for *_, kept in chain[:-1]]
+            for chain in self.chains
+        ]
+        self.bind(len(xs))
+
+    def bind(self, ops: int) -> None:
+        """Re-slice every view and buffer to the first `ops` operators of
+        the stack and their rows."""
+        n, rows = len(self.dims), ops * self.c
+        xs, z, z_conj = self.full
+        xs, z, z_conj = xs[:ops], z[:rows], z_conj[:rows]
+        f, f_conj = _columns(z, self.cuts), _columns(z_conj, self.cuts)
+        product = self.product[:rows]
+        tensor = product.reshape((rows,) + self.dims)
+        self.z, self.z_conj, self.steps = z, z_conj, []
+        for k in range(2 * n):
+            steps = []
+            if k in (0, n):  # row b is (x g_b)^T, then (x^dagger f_b)^T
+                factors, stack = (f[n:], xs.transpose(0, 2, 1)) if k == 0 else (f_conj[:n], xs)
+                kron = factors[0]
+                for g, buf in zip(factors[1:], self.krons):  # `row_kron` of the factors
+                    out = buf[:rows]
+                    steps.append(functools.partial(
+                        np.multiply, kron[:, :, None], g[:, None, :],
+                        out=out.reshape(rows, kron.shape[1], g.shape[1]),
+                    ))
+                    kron = out
+                steps.append(functools.partial(stack_product, kron, stack, out=product))
+                if k == n:
+                    steps.append(functools.partial(np.conjugate, product, out=product))
+            conjs = f_conj[n:] if k >= n else f_conj[:n]
+            t, outs = tensor, [a[:rows] for a in self.inter[k % n]] + [f[k]]
+            if n == 1:  # one factor: nothing to contract
+                steps.append(functools.partial(np.copyto, f[k], t))
+            for (m, axes, conj_axes, kept), out in zip(self.chains[k % n], outs):
+                steps.append(functools.partial(np.einsum, t, axes, conjs[m], conj_axes, kept,
+                                               out=out))
+                t = out
+            self.steps.append(steps)
+        zf, sf = z.view(float), z_conj.view(float)
+        self.groups = [
+            (factors, zf[:, cols], sf[:, cols], offsets, owner)
+            for factors, cols, offsets, owner in self.plan_groups
+        ]
+
+    def __call__(self) -> np.ndarray:
+        """One sweep of the bound rows, in place (see `sweep`)."""
+        z, z_conj, last = self.z, self.z_conj, 2 * len(self.dims) - 1
+        np.conjugate(z, out=z_conj)  # kept whole: one call conjugates every factor
+        lost = None
+        for factors, raw, part, offsets, owner in self.groups:
+            for k in factors:
+                for step in self.steps[k]:
+                    step()
+                if k != factors[-1]:
+                    np.conjugate(z, out=z_conj)
+            # the squares overwrite the group's conjugates, no longer needed
+            norms = np.sqrt(np.add.reduceat(np.square(raw, out=part), offsets, axis=1))
+            if not norms[:, -1].all():  # a contraction vanished: keep the zeros
+                lost = norms[:, -1] == 0.0
+                norms[lost] = 1.0
+            raw /= np.take(norms, owner, axis=1, out=part, mode="clip")
+            if factors[-1] != last:  # the next group contracts with these
+                np.conjugate(z, out=z_conj)
+        size = norms[:, -1] / np.multiply.reduce(norms[:, :-1], axis=1)
+        if lost is not None:
+            size[lost] = 0.0
+        return size
 
 
 def sweep(xs: np.ndarray, dims: tuple[int, ...], z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -129,35 +219,7 @@ def sweep(xs: np.ndarray, dims: tuple[int, ...], z: np.ndarray, scratch: np.ndar
     A contraction vanishes only at a point of overlap 0, and then so do all
     that follow it: those rows are left at 0, with a size of 0.
     """
-    n = len(dims)
-    cuts, chains, groups = _plan(dims)
-    z_conj = np.conjugate(z, out=scratch)  # kept whole: one call conjugates every factor
-    f, f_conj = _columns(z, cuts), _columns(z_conj, cuts)
-    zf, sf, lost = z.view(float), scratch.view(float), None
-    for factors, cols, offsets, owner in groups:
-        for k in factors:
-            if k == 0:  # row b is (x g_b)^T
-                t = stack_product(row_kron(f[n:]), xs.transpose(0, 2, 1))
-                t = t.reshape((t.shape[0],) + dims)
-            elif k == n:  # row b is (x^dagger f_b)^T
-                del t  # one row per start, like this one: free it before the product
-                t = stack_product(row_kron(f_conj[:n]), xs)
-                t = np.conjugate(t, out=t).reshape((t.shape[0],) + dims)
-            _contract(t, chains[k % n], f_conj[n:] if k >= n else f_conj[:n], f[k])
-            if k != factors[-1]:
-                np.conjugate(z, out=z_conj)
-        raw, part = zf[:, cols], sf[:, cols]  # the group's conjugates are no longer needed
-        norms = np.sqrt(np.add.reduceat(np.square(raw, out=part), offsets, axis=1))
-        if not norms[:, -1].all():  # a contraction vanished: keep the zeros
-            lost = norms[:, -1] == 0.0
-            norms[lost] = 1.0
-        raw /= np.take(norms, owner, axis=1, out=part, mode="clip")
-        if factors[-1] != 2 * n - 1:  # the next group contracts with these
-            np.conjugate(z, out=z_conj)
-    size = norms[:, -1] / np.multiply.reduce(norms[:, :-1], axis=1)
-    if lost is not None:
-        size[lost] = 0.0
-    return size
+    return _BoundSweep(xs, dims, z, scratch)()
 
 
 def ascend(
@@ -205,14 +267,15 @@ def ascend(
     swap-remove, in place, with no array gathered whole. So every operator
     in the batch has all its c starts, every product is one matmul
     (`stack_product`), and an operator's starts sweep alike whichever
-    operators share the batch, in whichever slot.
+    operators share the batch, in whichever slot. The state that stays is
+    a prefix of each array, so the sweep is bound once (`_BoundSweep`) and
+    only re-sliced at a swap-remove.
 
     `xs` is scratch: the swap-removes reorder its operators in place, so it
     holds them in no defined order afterwards. Updates the factors in place
     and returns them with the complex overlap, sweep count and convergence
     flag of every start.
     """
-    cuts = _plan(dims)[0]
     w = stack_product(row_kron([a.conj() for a in bras]), xs)
     value = np.einsum("bc,bc->b", w, row_kron(kets))
     del w
@@ -229,8 +292,10 @@ def ascend(
     z, best_y, hist = x.copy(), x.copy(), np.stack([x, x, x])
     best_value, best = value.copy(), np.abs(value)
     dr, dx, r = hist
+    bound = _BoundSweep(xs, dims, z, r)  # r is its scratch
+    hist_f, dr_f = hist.view(float), dr.view(float)
     for it in range(1, max_iters + 1):
-        size = sweep(xs, dims, z, r)  # |overlap(y)|; r is its scratch
+        size = bound()  # |overlap(y)|
         if not size.all():  # a contraction vanished: y = x
             np.copyto(z, x, where=(size == 0.0)[:, None])
         done = np.abs(size - best) <= conv_tol
@@ -238,7 +303,7 @@ def ascend(
         np.subtract(z, x, out=r)
         np.subtract(r, dr, out=dr)  # dr held r of the sweep before
         np.subtract(x, dx, out=dx)  # dx held x of the sweep before
-        den, secant, num = np.einsum("kbl,bl->kb", hist.view(float), dr.view(float))
+        den, secant, num = np.einsum("kbl,bl->kb", hist_f, dr_f)
         step = (secant < 0.0) & (den > 0.0)  # never with no history, where dx = 0
         np.copyto(best_y, z, where=up[:, None])
         np.copyto(best_value, size, where=up)
@@ -266,7 +331,7 @@ def ascend(
             continue
         gone = np.repeat(~stays, c)
         value[live[gone]] = best_value[gone]
-        for out, a in zip(factors, _columns(best_y[gone], cuts)):
+        for out, a in zip(factors, _columns(best_y[gone], bound.cuts)):
             out[live[gone]] = a
         if not stays.any():
             break
@@ -282,4 +347,6 @@ def ascend(
             a[: k * c] for a in (z, x, best_y, best_value, best, live)
         )
         dr, dx, r = hist
+        bound.bind(k)
+        hist_f, dr_f = hist.view(float), dr.view(float)
     return bras, kets, value, sweeps, converged

@@ -549,7 +549,9 @@ def ascend_without_compaction(xs, dims, bras, kets, max_iters, conv_tol, sweep=s
 @pytest.mark.parametrize("d, dims, one_entry", [
     pytest.param(3, (2, 3), None, id="3-dims0"),
     pytest.param(4, (2, 2, 2), None, id="4-dims1"),
-    pytest.param(4, (2, 3), 1, id="4-dims2-one-entry"),
+    pytest.param(4, (2, 3), (1,), id="4-dims2-one-entry"),
+    pytest.param(4, (2, 3), (1, 2), id="4-dims2-two-one-entry"),
+    pytest.param(3, (2, 1, 2, 1, 2), None, id="3-five-parties"),
 ])
 def test_ascent_keeps_every_start_whenever_it_stops(d, dims, one_entry, max_iters):
     """The compact ascent leaves every start's factors as they were when
@@ -557,15 +559,17 @@ def test_ascent_keeps_every_start_whenever_it_stops(d, dims, one_entry, max_iter
     returned overlap, and its sweeps and flag are those of a run that
     keeps the state full size (bit for bit on a BLAS where that was
     checked). Some starts take mixing steps and some sweeps are rejected.
-    With `one_entry`, that operator of the stack has a single nonzero
-    entry, so it stops within two sweeps while the last operator sweeps
-    on, and the swap-remove moves the last operator into its slot."""
+    With `one_entry`, those operators of the stack have a single nonzero
+    entry, so they stop within two sweeps while the last ones sweep on,
+    and one swap-remove moves the last operators into their slots: the
+    bound sweep is re-sliced there. With five parties, each half-sweep is
+    two normalization groups."""
     spec = random_spec(d, len(dims), dims, seed=17, shield_rank=3)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     xs = _cross_operators(spec, pairs)
     if one_entry is not None:
-        xs[one_entry] = 0.0
-        xs[one_entry, 0, 0] = 1.0
+        xs[list(one_entry)] = 0.0
+        xs[list(one_entry), 0, 0] = 1.0
     bras, kets, c = _stacked_starts(xs, dims, 5, list(range(len(pairs))))
     ref = ascend_without_compaction(
         xs, dims, [b.copy() for b in bras], [k.copy() for k in kets], max_iters, 1e-12
@@ -580,8 +584,8 @@ def test_ascent_keeps_every_start_whenever_it_stops(d, dims, one_entry, max_iter
     if max_iters == 200:
         assert ref[5] > 0 and ref[6] > 0  # mixing steps, rejected sweeps
     if one_entry is not None and max_iters >= 15:
-        early, last = sweeps.reshape(-1, c)[[one_entry, -1]].max(axis=1)
-        assert early <= 2 < last
+        per_operator = sweeps.reshape(-1, c).max(axis=1)
+        assert per_operator[list(one_entry)].max() <= 2 < per_operator[-len(one_entry):].min()
     for a, b in zip(f + g + [value], ref[0] + ref[1] + [ref[2]]):
         assert np.abs(a - b).max() <= 1e-13
         if BITWISE_BLAS:
@@ -779,7 +783,8 @@ def test_block_products_are_each_operators_product(s):
     everywhere, and bit for bit on a BLAS where that was checked
     (`BITWISE_BLAS`). Also for stacks left by swap-removes, whose
     operators are in any order, and with one row per operator (a
-    matrix-vector product)."""
+    matrix-vector product). Written into a buffer (`out=`), the product
+    is the same, in that buffer."""
     rng = np.random.default_rng(s)
     ops = rng.normal(size=(5, s, s)) + 1j * rng.normal(size=(5, s, s))
     for live in ([0, 1, 2, 3, 4], [0, 4, 2, 3], [4, 1], [3], [0, 1, 4, 3], []):
@@ -788,6 +793,11 @@ def test_block_products_are_each_operators_product(s):
             rows = rng.normal(size=(len(live) * c, s)) + 1j * rng.normal(size=(len(live) * c, s))
             out = stack_product(rows, stack)
             assert out.shape == rows.shape
+            into = np.empty_like(rows)
+            assert np.array_equal(stack_product(rows, stack, out=into), into)
+            assert np.abs(into - out).max(initial=0.0) <= 1e-13 * s
+            if BITWISE_BLAS:
+                assert np.array_equal(into, out)
             for at, k in enumerate(live):
                 mine = slice(at * c, (at + 1) * c)
                 alone = rows[mine] @ ops[k]
@@ -819,7 +829,8 @@ def test_a_start_whose_contraction_vanishes_stays_where_it_is():
 
 @settings(max_examples=30, deadline=None)
 @given(
-    dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=4)
+    | st.lists(st.integers(1, 2), min_size=5, max_size=6),
     rank_fraction=st.floats(0.0, 1.0),
     k=st.integers(-6, 0),
     restarts=st.integers(1, 6),
@@ -831,11 +842,12 @@ def test_a_start_whose_contraction_vanishes_stays_where_it_is():
 @example(dims=[3, 3, 1], rank_fraction=1.0, k=-6, restarts=6, seed=643452868)
 def test_grouped_normalization_keeps_the_per_factor_result(dims, rank_fraction, k, restarts,
                                                             seed):
-    """For one to four parties, any rank, and operators scaled by 10^k down
-    to 1e-6, every result of `ascend` (the overlaps and the factors of every
-    start) is finite, and the best overlap is, to 1e-9 relative, that of the
-    same ascent from the same starts with every factor normalized as soon
-    as it is fitted."""
+    """For one to six parties (five or six of dims 1-2, whose half-sweeps
+    are two normalization groups each), any rank, and operators scaled by
+    10^k down to 1e-6, every result of `ascend` (the overlaps and the
+    factors of every start) is finite, and the best overlap is, to 1e-9
+    relative, that of the same ascent from the same starts with every
+    factor normalized as soon as it is fitted."""
     dims = tuple(dims)
     total = int(np.prod(dims))
     rank = max(1, round(rank_fraction * total))
