@@ -8,6 +8,17 @@ stack (`stack_product`): no row or operator is padded. Operators that stop
 leave the stack by swap-remove, so it stays compact. Each start mixes its
 sweeps (guarded Anderson mixing, see `ascend`) with arithmetic of its own.
 
+A start stops when it converges, or is cut when it cannot catch up: the
+best value among the converged starts of its operator is the operator's
+lead, and a start still running is cut at a sweep that leaves its best
+value more than CATCH_UP = 10 times that sweep's change below the lead.
+At the pace of its last sweep it would need more than CATCH_UP sweeps to
+get there; such starts mostly creep towards the lead's own value, so
+their last sweeps would polish starts that lose. The rule reads only
+the rows of the start's own operator, so a start that is not cut follows
+the path it follows with no rule (CATCH_UP = inf): bit for bit if the BLAS
+gives equal bits for equal calls (see `stack_product`).
+
 A sweep (`sweep`) fits each factor in turn to the contraction of the
 operator with all the others, the higher-order power method. That map is
 scale-invariant: an update needs only the direction of the factors it
@@ -37,6 +48,7 @@ import functools
 import numpy as np
 
 MAX_GROUP = 4  # factors normalized together in a sweep; raw norms reach eta^(2^(MAX_GROUP-1))
+CATCH_UP = 10.0  # sweeps at its last pace within which a start must be able to reach its lead
 
 
 def row_kron(factors: list[np.ndarray]) -> np.ndarray:
@@ -112,9 +124,11 @@ class _BoundSweep:
     takes (as `row_kron` forms them), and each chain step's `einsum`
     intermediate. `bind` turns every call of a sweep into a step bound to
     its operands: views of these buffers, of z and of its scratch, cut to
-    the first operators of the stack and their rows. The ascent keeps its
-    state in such prefixes as operators leave (a swap-remove), so it
-    rebinds there and allocates no buffer; a sweep only runs its steps.
+    the first operators of the stack and their rows. The products are
+    `stack_product`'s one matmul, bound to (operators, c, dim) views. The
+    ascent keeps its state in such prefixes as operators leave (a
+    swap-remove), so it rebinds there and allocates no buffer; a sweep
+    only runs its steps.
 
     Each factor is fitted to a chain of `einsum`s, each of which contracts
     one axis, the last first, so every entry sums its terms in index order
@@ -160,7 +174,11 @@ class _BoundSweep:
                         out=out.reshape(rows, kron.shape[1], g.shape[1]),
                     ))
                     kron = out
-                steps.append(functools.partial(stack_product, kron, stack, out=product))
+                shape = (ops, self.c)  # the batch of `stack_product`, bound as views
+                steps.append(functools.partial(
+                    np.matmul, kron.reshape(shape + kron.shape[1:]), stack,
+                    out=product.reshape(shape + product.shape[1:]),
+                ))
                 if k == n:
                     steps.append(functools.partial(np.conjugate, product, out=product))
             conjs = f_conj[n:] if k >= n else f_conj[:n]
@@ -253,23 +271,30 @@ def ascend(
       at x, with |overlap(y)| = 0.
 
     A start stops once a sweep's |overlap| is within `conv_tol` of `best`
-    (converged) or after `max_iters` sweeps, and reports its best accepted
-    factors. Every start's arithmetic is its own, row by row, so it
-    follows the path it would follow alone.
+    (converged), or is cut once its operator's lead (the largest `best` of
+    its converged starts, -inf until one converges) exceeds its `best` by
+    more than CATCH_UP times that sweep's change |size - best before| (see
+    the module docstring), or stops after `max_iters` sweeps. Either
+    way it reports its best accepted factors, and its sweep count is that
+    of the sweep where it stopped; only a converged start is flagged. A
+    cut start is below a converged one, so it is never its operator's
+    best. Every start's arithmetic is its own, row by row, and the cut
+    reads only its operator's rows, so it follows the path it would
+    follow alone.
 
     The starts sweep in compact arrays (points and mixing history). A
     start that stops is frozen: its `best` becomes inf, so no later sweep
-    of it is accepted or passes the test, and each sweeps again from its
-    best accepted point. An operator's rows leave the batch together, once
-    all its starts have stopped, and only then are the results of its
-    starts written out. Its slot in the stack is then filled by the last
-    operator that stays, and the rows of the one by those of the other: a
-    swap-remove, in place, with no array gathered whole. So every operator
-    in the batch has all its c starts, every product is one matmul
-    (`stack_product`), and an operator's starts sweep alike whichever
-    operators share the batch, in whichever slot. The state that stays is
-    a prefix of each array, so the sweep is bound once (`_BoundSweep`) and
-    only re-sliced at a swap-remove.
+    of it is accepted, passes the test or is cut, and each sweeps again
+    from its best accepted point. An operator's rows leave the batch
+    together, once all its starts are frozen, and only then are the
+    results of its starts written out. Its slot in the stack is then
+    filled by the last operator that stays, and the rows of the one by
+    those of the other: a swap-remove, in place, with no array gathered
+    whole. So every operator in the batch has all its c starts, every
+    product is one matmul (`stack_product`), and an operator's starts
+    sweep alike whichever operators share the batch, in whichever slot.
+    The state that stays is a prefix of each array, so the sweep is bound
+    once (`_BoundSweep`) and only re-sliced at a swap-remove.
 
     `xs` is scratch: the swap-removes reorder its operators in place, so it
     holds them in no defined order afterwards. Updates the factors in place
@@ -279,31 +304,32 @@ def ascend(
     w = stack_product(row_kron([a.conj() for a in bras]), xs)
     value = np.einsum("bc,bc->b", w, row_kron(kets))
     del w
-    sweeps = np.full(value.size, max_iters)  # until a start converges
+    sweeps = np.full(value.size, max_iters)  # until a start stops earlier
     converged = np.zeros(value.size, dtype=bool)
     live = np.arange(value.size)  # the rows in the batch, c per slot
     factors = bras + kets
     # Per start in the batch: the point z that the sweep fits in place; the
-    # point x it swept from; the best accepted point; and
-    # `hist`, whose slabs hold dr, dx and r while the sweep is mixed, and r
-    # and x of the sweep before in the first two between sweeps (no
-    # history: x_prev = x).
-    x = np.concatenate(factors, axis=1)
-    z, best_y, hist = x.copy(), x.copy(), np.stack([x, x, x])
+    # best accepted point; and `hist`, whose slabs hold dr, dx, r and the
+    # point x it swept from while the sweep is mixed, and r and x of the
+    # sweep before in the first two between sweeps (no history: x_prev = x).
+    z = np.concatenate(factors, axis=1)
+    best_y, hist = z.copy(), np.stack([z, z, z, z])
     best_value, best = value.copy(), np.abs(value)
-    dr, dx, r = hist
+    lead = np.full(value.size, -np.inf)  # per row, its operator's best converged value
+    dr, dx, r, x = hist
     bound = _BoundSweep(xs, dims, z, r)  # r is its scratch
-    hist_f, dr_f = hist.view(float), dr.view(float)
+    mix_f, dr_f = hist[:3].view(float), dr.view(float)
     for it in range(1, max_iters + 1):
         size = bound()  # |overlap(y)|
         if not size.all():  # a contraction vanished: y = x
             np.copyto(z, x, where=(size == 0.0)[:, None])
-        done = np.abs(size - best) <= conv_tol
+        gap = np.abs(size - best)
+        done = gap <= conv_tol
         up = size >= best  # accepted; false for NaN
         np.subtract(z, x, out=r)
         np.subtract(r, dr, out=dr)  # dr held r of the sweep before
         np.subtract(x, dx, out=dx)  # dx held x of the sweep before
-        den, secant, num = np.einsum("kbl,bl->kb", hist_f, dr_f)
+        den, secant, num = np.einsum("kbl,bl->kb", mix_f, dr_f)
         step = (secant < 0.0) & (den > 0.0)  # never with no history, where dx = 0
         np.copyto(best_y, z, where=up[:, None])
         np.copyto(best_value, size, where=up)
@@ -312,21 +338,24 @@ def ascend(
         if stepped:  # z -= gamma (dx + dr), no change where gamma = 0
             gamma = np.divide(num, den, out=np.zeros_like(num), where=step)
             z -= np.multiply(np.add(dx, dr, out=dx), gamma[:, None], out=dx)
-        np.copyto(dr, r)  # the history of the next sweep
-        np.copyto(dx, x)
+        np.copyto(hist[:2], hist[2:])  # dr <- r, dx <- x: the history of the next sweep
         rejected = np.count_nonzero(up) < up.size
         if rejected:  # back to the best accepted point, with no history
             back = ~up[:, None]
             np.copyto(z, best_y, where=back)
             np.copyto(dx, z, where=back)
         np.copyto(x, z)
-        if not np.count_nonzero(done) and it < max_iters:
+        # a start that converges is not cut, and no 0 * inf warns at CATCH_UP = inf
+        np.copyto(gap, np.inf, where=done)
+        stop = (lead - best > CATCH_UP * gap) | done  # cut, or converged
+        if not np.count_nonzero(stop) and it < max_iters:
             continue
         converged[live[done]] = True
-        sweeps[live[done]] = it
-        best[done] = np.inf  # frozen
-        # before the last sweep, a start stops only by converging
-        stays = ~converged[live].reshape(-1, c).all(axis=1) & (it < max_iters)
+        sweeps[live[stop]] = it
+        newly = np.where(done, best, -np.inf).reshape(-1, c).max(axis=1)  # per operator
+        np.maximum(lead, np.repeat(newly, c), out=lead)
+        best[stop] = np.inf  # frozen
+        stays = (best < np.inf).reshape(-1, c).any(axis=1) & (it < max_iters)
         if stays.all():
             continue
         gone = np.repeat(~stays, c)
@@ -339,14 +368,14 @@ def ascend(
         holes, movers = np.flatnonzero(~stays[:k]), k + np.flatnonzero(stays[k:])
         xs[holes] = xs[movers]
         holes, movers = (np.add.outer(c * a, np.arange(c)).ravel() for a in (holes, movers))
-        for a in (z, x, best_y, best_value, best, live):
+        for a in (z, best_y, best_value, best, lead, live):
             a[holes] = a[movers]
         hist[:, holes] = hist[:, movers]
         xs, hist = xs[:k], hist[:, : k * c]
-        z, x, best_y, best_value, best, live = (
-            a[: k * c] for a in (z, x, best_y, best_value, best, live)
+        z, best_y, best_value, best, lead, live = (
+            a[: k * c] for a in (z, best_y, best_value, best, lead, live)
         )
-        dr, dx, r = hist
+        dr, dx, r, x = hist
         bound.bind(k)
-        hist_f, dr_f = hist.view(float), dr.view(float)
+        mix_f, dr_f = hist[:3].view(float), dr.view(float)
     return bras, kets, value, sweeps, converged

@@ -43,7 +43,9 @@ class OverlapResult:
     overlap: `converged` says whether that start met the convergence test
     within the sweep limit, and `sweeps` is the number of sweeps it ran,
     accepted or not. `start_etas` holds the reported overlap of every
-    start, its best accepted one, in start order.
+    start, its best accepted one, in start order; a start cut behind its
+    operator's converged lead (see `ascent`) reports the one it had at the
+    sweep where it was cut.
 
     The overlap <f|X|g> of the returned factors is real, >= 0 and `eta` to
     rounding: `ascent.sweep` leaves it so, and a best start with no accepted
