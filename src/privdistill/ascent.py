@@ -1,12 +1,18 @@
 """The batched alternating-ascent engine behind `overlap`.
 
-Every start of every operator advances at once: the factors of all starts
-are (starts, dim) arrays, and every operator has the same number of
-starts, c, in consecutive rows, in the slot order of the operator stack.
-Each product with the operators is one batched matmul of the rows by the
-stack (`stack_product`): no row or operator is padded. Operators that stop
-leave the stack by swap-remove, so it stays compact. Each start mixes its
-sweeps (guarded Anderson mixing, see `ascend`) with arithmetic of its own.
+Every start of every operator advances at once. A start's point is one
+row of a (starts, 2 sum(dims)) array: its bra factors, then its ket
+factors, side by side (`_columns` cuts them), from its draw to its result.
+Every operator has the same number of starts, c, in consecutive rows, in
+the slot order of the operator stack. Each product with the operators is
+one batched matmul of the (operators, c, dim) rows by the stack: no row or
+operator is padded. NumPy multiplies each operator of a batch by the same
+BLAS call, with the same shapes, as the c rows of that operator alone, so
+each row gets the same bits as when its operator's starts run alone, in
+any slot of the stack, if the BLAS gives equal bits for equal calls.
+Operators that stop leave the stack by swap-remove, so it stays compact.
+Each start mixes its sweeps (guarded Anderson mixing, see `ascend`) with
+arithmetic of its own.
 
 A start stops when it converges, or is cut when it cannot catch up: the
 best value among the converged starts of its operator is the operator's
@@ -17,7 +23,7 @@ get there; such starts mostly creep towards the lead's own value, so
 their last sweeps would polish starts that lose. The rule reads only
 the rows of the start's own operator, so a start that is not cut follows
 the path it follows with no rule (CATCH_UP = inf): bit for bit if the BLAS
-gives equal bits for equal calls (see `stack_product`).
+gives equal bits for equal calls.
 
 A sweep (`sweep`) fits each factor in turn to the contraction of the
 operator with all the others, the higher-order power method. That map is
@@ -35,8 +41,9 @@ eta^32 for N = 3 and eta^128 for N = 4.
 
 `ascend` binds its batch's sweep once: the buffers of its products and
 contractions, the factor views and each group's columns are set up when
-the ascent starts, and each swap-remove re-slices them to the rows that
-stay, as prefixes of the same buffers. A sweep then makes only its NumPy
+the ascent starts. Each swap-remove leaves the state that stays in
+prefixes of the ascent's arrays; the sweep is bound again to those, with
+its buffers re-sliced to as many rows. A sweep then makes only its NumPy
 calls, the same calls on the same shapes, in the same order, as a sweep
 set up from scratch (`sweep`), so each row gets the same bits either way.
 """
@@ -57,22 +64,6 @@ def row_kron(factors: list[np.ndarray]) -> np.ndarray:
     for f in factors[1:]:
         out = (out[:, :, None] * f[:, None, :]).reshape(out.shape[0], -1)
     return out
-
-
-def stack_product(rows: np.ndarray, ops: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row r of the result is rows[r] @ ops[r // c], for rows c per operator,
-    written into `out` (of the shape of `rows`) when it is given.
-
-    One batched matmul of the (operators, c, dim) rows by the stack. NumPy
-    multiplies each operator of a batch by the same BLAS call, with the
-    same shapes, as the c rows of that operator alone, so each row gets the
-    same bits as when its operator's starts run alone, in any slot of the
-    stack, if the BLAS gives equal bits for equal calls.
-    """
-    batch = rows.reshape(len(ops), len(rows) // max(len(ops), 1), rows.shape[1])
-    if out is not None:
-        out = out.reshape(batch.shape)
-    return np.matmul(batch, ops, out=out).reshape(rows.shape)
 
 
 @functools.cache
@@ -111,9 +102,11 @@ def _plan(dims: tuple[int, ...]) -> tuple:
     return tuple(cuts.tolist()), chains, groups
 
 
-def _columns(a: np.ndarray, cuts: tuple[int, ...]) -> list[np.ndarray]:
-    """The factor views of a (starts, sum of dims) array: columns cuts[k]:cuts[k+1]."""
-    return [a[:, lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+def _columns(a: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """The factor views of points over factors of `dims`, packed along the
+    last axis of `a`: the bras, then the kets, side by side."""
+    cuts = _plan(dims)[0]
+    return [a[..., lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 class _BoundSweep:
@@ -124,11 +117,11 @@ class _BoundSweep:
     takes (as `row_kron` forms them), and each chain step's `einsum`
     intermediate. `bind` turns every call of a sweep into a step bound to
     its operands: views of these buffers, of z and of its scratch, cut to
-    the first operators of the stack and their rows. The products are
-    `stack_product`'s one matmul, bound to (operators, c, dim) views. The
-    ascent keeps its state in such prefixes as operators leave (a
-    swap-remove), so it rebinds there and allocates no buffer; a sweep
-    only runs its steps.
+    as many rows as z has. Each product is one matmul, bound to
+    (operators, c, dim) views (see the module docstring). The ascent keeps
+    its state in prefixes of its arrays as operators leave (a
+    swap-remove), so it rebinds there to the prefixes and allocates no
+    buffer; a sweep only runs its steps.
 
     Each factor is fitted to a chain of `einsum`s, each of which contracts
     one axis, the last first, so every entry sums its terms in index order
@@ -139,9 +132,8 @@ class _BoundSweep:
     """
 
     def __init__(self, xs: np.ndarray, dims: tuple[int, ...], z: np.ndarray, scratch: np.ndarray):
-        self.full, self.dims = (xs, z, scratch), dims
-        self.c = len(z) // max(len(xs), 1)
-        self.cuts, self.chains, self.plan_groups = _plan(dims)
+        self.dims = dims
+        _, self.chains, self.plan_groups = _plan(dims)
         widths = np.cumprod(dims).tolist()
         self.krons = [np.empty((len(z), w), z.dtype) for w in widths[1:]]
         self.product = np.empty((len(z), widths[-1]), z.dtype)
@@ -150,15 +142,13 @@ class _BoundSweep:
              for *_, kept in chain[:-1]]
             for chain in self.chains
         ]
-        self.bind(len(xs))
+        self.bind(xs, z, scratch)
 
-    def bind(self, ops: int) -> None:
-        """Re-slice every view and buffer to the first `ops` operators of
-        the stack and their rows."""
-        n, rows = len(self.dims), ops * self.c
-        xs, z, z_conj = self.full
-        xs, z, z_conj = xs[:ops], z[:rows], z_conj[:rows]
-        f, f_conj = _columns(z, self.cuts), _columns(z_conj, self.cuts)
+    def bind(self, xs: np.ndarray, z: np.ndarray, z_conj: np.ndarray) -> None:
+        """Bind every step to the stack `xs`, the points z (c rows per
+        operator) and their scratch, re-slicing the buffers to z's rows."""
+        n, rows = len(self.dims), len(z)
+        f, f_conj = _columns(z, self.dims), _columns(z_conj, self.dims)
         product = self.product[:rows]
         tensor = product.reshape((rows,) + self.dims)
         self.z, self.z_conj, self.steps = z, z_conj, []
@@ -174,7 +164,7 @@ class _BoundSweep:
                         out=out.reshape(rows, kron.shape[1], g.shape[1]),
                     ))
                     kron = out
-                shape = (ops, self.c)  # the batch of `stack_product`, bound as views
+                shape = (len(xs), rows // max(len(xs), 1))  # the product's batch, as views
                 steps.append(functools.partial(
                     np.matmul, kron.reshape(shape + kron.shape[1:]), stack,
                     out=product.reshape(shape + product.shape[1:]),
@@ -244,18 +234,17 @@ def ascend(
     xs: np.ndarray,
     c: int,
     dims: tuple[int, ...],
-    bras: list[np.ndarray],
-    kets: list[np.ndarray],
+    points: np.ndarray,
     max_iters: int,
     conv_tol: float,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alternating ascent of every start of every operator at once, with
     guarded Anderson mixing of the sweep map.
 
-    Factors are (starts, dim) arrays: rows k c to (k + 1) c - 1 are the
-    starts of operator xs[k]. A sweep F (`sweep`) fits all bra factors,
-    then all ket factors; a start's factors, side by side, form its point
-    x. Per start:
+    Row b of `points` is the point x of a start: its bra factors, then its
+    ket factors, side by side (`_columns`). Rows k c to (k + 1) c - 1 are
+    the starts of operator xs[k]. A sweep F (`sweep`) fits all bra
+    factors, then all ket factors. Per start:
 
     * the sweep y = F(x) is accepted when |overlap(y)| is at least `best`,
       the start's best accepted value (at first, that of the start itself);
@@ -275,7 +264,7 @@ def ascend(
     its converged starts, -inf until one converges) exceeds its `best` by
     more than CATCH_UP times that sweep's change |size - best before| (see
     the module docstring), or stops after `max_iters` sweeps. Either
-    way it reports its best accepted factors, and its sweep count is that
+    way it reports its best accepted point, and its sweep count is that
     of the sweep where it stopped; only a converged start is flagged. A
     cut start is below a converged one, so it is never its operator's
     best. Every start's arithmetic is its own, row by row, and the cut
@@ -286,34 +275,36 @@ def ascend(
     start that stops is frozen: its `best` becomes inf, so no later sweep
     of it is accepted, passes the test or is cut, and each sweeps again
     from its best accepted point. An operator's rows leave the batch
-    together, once all its starts are frozen, and only then are the
-    results of its starts written out. Its slot in the stack is then
-    filled by the last operator that stays, and the rows of the one by
-    those of the other: a swap-remove, in place, with no array gathered
-    whole. So every operator in the batch has all its c starts, every
-    product is one matmul (`stack_product`), and an operator's starts
-    sweep alike whichever operators share the batch, in whichever slot.
-    The state that stays is a prefix of each array, so the sweep is bound
-    once (`_BoundSweep`) and only re-sliced at a swap-remove.
+    together, once all its starts are frozen, and only then are their best
+    points written back to their rows of `points`, in one assignment. Its
+    slot in the stack is then filled by the last operator that stays, and
+    the rows of the one by those of the other: a swap-remove, in place,
+    with no array gathered whole. So every operator in the batch has all
+    its c starts, every product is one matmul (see the module docstring),
+    and an operator's starts sweep alike whichever operators share the
+    batch, in whichever slot. The state that stays is a prefix of each
+    array, so the sweep is bound once (`_BoundSweep`) and bound again to
+    the prefixes at a swap-remove.
 
     `xs` is scratch: the swap-removes reorder its operators in place, so it
-    holds them in no defined order afterwards. Updates the factors in place
-    and returns them with the complex overlap, sweep count and convergence
-    flag of every start.
+    holds them in no defined order afterwards. The ascent sweeps a copy of
+    `points`, and each row of `points` ends as its start's best accepted
+    point. Returns the complex overlap, sweep count and convergence flag of
+    every start.
     """
-    w = stack_product(row_kron([a.conj() for a in bras]), xs)
-    value = np.einsum("bc,bc->b", w, row_kron(kets))
-    del w
+    n, factors = len(dims), _columns(points, dims)
+    rows = row_kron([a.conj() for a in factors[:n]])
+    w = np.matmul(rows.reshape(len(xs), c, rows.shape[1]), xs).reshape(rows.shape)
+    value = np.einsum("bc,bc->b", w, row_kron(factors[n:]))
+    del rows, w
     sweeps = np.full(value.size, max_iters)  # until a start stops earlier
     converged = np.zeros(value.size, dtype=bool)
     live = np.arange(value.size)  # the rows in the batch, c per slot
-    factors = bras + kets
     # Per start in the batch: the point z that the sweep fits in place; the
     # best accepted point; and `hist`, whose slabs hold dr, dx, r and the
     # point x it swept from while the sweep is mixed, and r and x of the
     # sweep before in the first two between sweeps (no history: x_prev = x).
-    z = np.concatenate(factors, axis=1)
-    best_y, hist = z.copy(), np.stack([z, z, z, z])
+    z, best_y, hist = points.copy(), points.copy(), np.stack([points] * 4)
     best_value, best = value.copy(), np.abs(value)
     lead = np.full(value.size, -np.inf)  # per row, its operator's best converged value
     dr, dx, r, x = hist
@@ -360,8 +351,7 @@ def ascend(
             continue
         gone = np.repeat(~stays, c)
         value[live[gone]] = best_value[gone]
-        for out, a in zip(factors, _columns(best_y[gone], bound.cuts)):
-            out[live[gone]] = a
+        points[live[gone]] = best_y[gone]
         if not stays.any():
             break
         k = np.count_nonzero(stays)  # the last operators that stay fill the holes
@@ -376,6 +366,6 @@ def ascend(
             a[: k * c] for a in (z, best_y, best_value, best, lead, live)
         )
         dr, dx, r, x = hist
-        bound.bind(k)
+        bound.bind(xs, z, r)
         mix_f, dr_f = hist[:3].view(float), dr.view(float)
-    return bras, kets, value, sweeps, converged
+    return value, sweeps, converged

@@ -7,6 +7,7 @@ Logarithms are base 2 throughout (entropies are in bits).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -57,7 +58,7 @@ class SubsystemLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64)) if self.factors else 1
+        return math.prod(self.dims)
 
     def index_of(self, label: str) -> int:
         for k, f in enumerate(self.factors):
@@ -141,7 +142,7 @@ def partial_trace(
             row_axes[n + j] = row_axes[j]
     out_axes = [row_axes[j] for j in keep_idx] + [row_axes[n + j] for j in keep_idx]
     reduced = np.einsum(tensor, row_axes, out_axes)
-    d_keep = int(np.prod([dims[j] for j in keep_idx]))
+    d_keep = math.prod(dims[j] for j in keep_idx)
     return reduced.reshape(d_keep, d_keep)
 
 
@@ -174,8 +175,7 @@ def factor_permutation(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
     n = len(dims)
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {list(order)} is not a permutation of 0..{n - 1}")
-    total = int(np.prod(dims)) if n else 1
-    src = np.arange(total).reshape(dims) if n else np.arange(total)
+    src = np.arange(math.prod(dims)).reshape(dims)
     return np.transpose(src, axes=list(order)).ravel()
 
 

@@ -11,19 +11,21 @@ runs multi-start alternating ascent, with guarded Anderson mixing of the
 sweeps (`ascent.ascend`) and all starts advancing as one batch,
 and `optimize_pairs` runs the starts of every key pair of a spec as one
 batch in the same engine, each pair seeded by its key values and every
-operator given the same number of starts (`_stacked_starts`);
+operator given the same number of starts (`_stacked_starts`), a start
+being one packed row from its draw to the best point `_overlaps` splits;
 `brute_force_eta` is a deliberately plain one-start-at-a-time
 re-implementation used to cross-check them.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ascent import ascend, row_kron
+from .ascent import _columns, ascend, row_kron
 from .linalg import CONV_TOL, MAX_ITERS, RESTARTS, as_complex, kron_all
 from .private_states import PrivateStateSpec
 
@@ -104,18 +106,20 @@ def _cross_operators(spec: PrivateStateSpec, pairs: list[tuple[int, int]]) -> np
 
 def _stacked_starts(
     xs: np.ndarray, dims: tuple[int, ...], restarts: int, seeds: list
-) -> tuple[list[np.ndarray], list[np.ndarray], int]:
-    """Start factors of every operator of the stack `xs`, as lists of
-    (starts, dim) arrays (bras, kets), and c, the starts per operator.
+) -> tuple[np.ndarray, int]:
+    """Start points of every operator of the stack `xs`, one row each (bra
+    factors, then ket factors, packed as `ascent.ascend` takes them), and
+    c, the starts per operator.
 
     Rows k c to (k + 1) c - 1 are the starts of xs[k]: the basis products
     at its min(DETERMINISTIC_STARTS, s^2) largest-magnitude entries, zero
     or not, so its result is never below its best entry, then `restarts`
     random products. These are the rows of one `normal` draw from a
-    generator seeded by seeds[k], split per factor, bras before kets, into
-    the real and then the imaginary part, each factor normalized per row.
-    The entries are sorted in chunks of GATHER_BYTES of operators, which
-    bounds the magnitudes and sort indices held at once; each row is
+    generator seeded by seeds[k]: the factor at packed columns lo : hi
+    takes the draw's columns 2 lo : 2 hi (`_columns` with every dim
+    doubled), the real and then the imaginary part, and is normalized per
+    row. The entries are sorted in chunks of GATHER_BYTES of operators,
+    which bounds the magnitudes and sort indices held at once; each row is
     sorted alone either way."""
     basis = min(DETERMINISTIC_STARTS, xs[0].size)
     c = basis + restarts
@@ -124,19 +128,18 @@ def _stacked_starts(
     for lo in range(0, len(xs), step):
         magnitudes = np.abs(xs[lo : lo + step]).reshape(-1, xs[0].size)
         top[lo : lo + step] = np.argsort(magnitudes, axis=1)[:, ::-1][:, :basis]
-    z = np.stack([
+    draws = np.stack([
         np.random.default_rng(s).normal(size=(restarts, 4 * sum(dims))) for s in seeds
     ])
-    sides, at = [], 0
-    for flat in np.divmod(top, xs.shape[1]):
-        side = [np.zeros((len(xs), c, dim), dtype=complex) for dim in dims]
-        for f, idx, dim in zip(side, np.unravel_index(flat, dims), dims):
-            v = z[..., at : at + dim] + 1j * z[..., at + dim : at + 2 * dim]
+    points = np.zeros((len(xs), c, 2 * sum(dims)), dtype=complex)
+    factors = _columns(points, dims)
+    for f, d in zip(factors, _columns(draws, tuple(2 * dim for dim in dims))):
+        v = d[..., : f.shape[2]] + 1j * d[..., f.shape[2] :]
+        f[:, basis:] = v / np.linalg.norm(v, axis=2, keepdims=True)
+    for side, flat in enumerate(np.divmod(top, xs.shape[1])):
+        for f, idx in zip(factors[side * len(dims) :], np.unravel_index(flat, dims)):
             np.put_along_axis(f[:, :basis], idx[..., None], 1.0, axis=2)
-            f[:, basis:] = v / np.linalg.norm(v, axis=2, keepdims=True)
-            at += 2 * dim
-        sides.append([f.reshape(-1, f.shape[2]) for f in side])
-    return sides[0], sides[1], c
+    return points.reshape(-1, points.shape[2]), c
 
 
 def _check_settings(restarts: int, max_iters: int, conv_tol: float) -> None:
@@ -171,7 +174,8 @@ def _overlaps(
 ) -> tuple[list[OverlapResult], list[np.ndarray], list[np.ndarray]]:
     """One ascent over the starts of every operator of `xs`, operator k
     drawing from seeds[k]: the result of each, and the factors of their
-    best starts as (operators, dim) arrays (bras, kets).
+    best starts (bras, kets), (operators, dim) views of the best points,
+    which are split once (`ascent._columns`).
 
     The ascent's raw norms are powers of the overlap (see `ascent`), so
     `xs` is first divided in place by the power of two that brings its
@@ -183,10 +187,8 @@ def _overlaps(
     stack. The ascent then uses `xs` as scratch (see `ascent.ascend`)."""
     scale = np.ldexp(1.0, np.frexp(max(xs.view(float).max(), -xs.view(float).min()))[1] - 1)
     xs /= scale  # no copy: the stacks of a tensor power are tens of MB
-    bras, kets, c = _stacked_starts(xs, dims, restarts, seeds)
-    bras, kets, value, sweeps, converged = ascend(
-        xs, c, dims, bras, kets, max_iters, conv_tol / scale
-    )
+    points, c = _stacked_starts(xs, dims, restarts, seeds)
+    value, sweeps, converged = ascend(xs, c, dims, points, max_iters, conv_tol / scale)
     value *= scale
     etas = np.abs(value)
     best = etas.reshape(-1, c).argmax(axis=1) + c * np.arange(len(xs))  # per operator
@@ -196,7 +198,8 @@ def _overlaps(
             "its phase, folded into the product vectors, is numerically meaningless",
             stacklevel=3,
         )
-    bras, kets = [f[best] for f in bras], [g[best] for g in kets]
+    factors = _columns(points[best], dims)
+    bras, kets = factors[: len(dims)], factors[len(dims) :]
     # g_1 times |v|/v = cos - i sin gives <f|X|g> = eta, in real arithmetic: a
     # complex multiply may round a row by the number of rows (fused or not)
     v, eta = value[best], etas[best][:, None]
@@ -235,7 +238,7 @@ def eta_optimize(
     _check_settings(restarts, max_iters, conv_tol)
     x = as_complex(x)
     dims = _check_dims(dims)
-    total = int(np.prod(dims, dtype=np.int64))
+    total = math.prod(dims)
     if x.shape != (total, total):
         raise ValueError(f"operator shape {x.shape} does not match dims {dims}")
     return _overlaps(x[None].copy(), dims, restarts, [seed], max_iters, conv_tol)[0][0]
@@ -269,8 +272,8 @@ def optimize_pairs(
     Pair (i, j) draws its starts from SeedSequence(seed, spawn_key=(i, j)),
     so its result is a function of (spec, seed, i, j) and the settings
     alone, whichever list holds the pair: bit for bit if the BLAS gives
-    equal bits for equal calls (see `ascent.stack_product`). Each pair's
-    `gram` = Y rho Y^dagger (see PairOverlap) is formed here, once, from the
+    equal bits for equal calls (see `ascent`). Each pair's `gram` =
+    Y rho Y^dagger (see PairOverlap) is formed here, once, from the
     pull-back Y of its product vectors (`pullback`): no s x s operator.
     """
     _check_settings(restarts, max_iters, conv_tol)
@@ -325,7 +328,7 @@ def brute_force_eta(
     is checked as `eta_optimize` checks it.
     """
     dims = _check_dims(dims)
-    total = int(np.prod(dims, dtype=np.int64))
+    total = math.prod(dims)
     if total > BRUTE_FORCE_DIM_CAP:
         raise ValueError(
             f"brute-force path is limited to dimension {BRUTE_FORCE_DIM_CAP}, got {total}"

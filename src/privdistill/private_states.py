@@ -62,7 +62,7 @@ class PrivateStateSpec:
 
     @property
     def shield_total_dim(self) -> int:
-        return int(np.prod(self.shield_dims, dtype=np.int64))
+        return math.prod(self.shield_dims)
 
     @property
     def total_dim(self) -> int:
@@ -97,7 +97,7 @@ def random_spec(
     if d < 2:  # before `spawn(d + 1)`, which fails on it with a traceback
         raise ValueError(f"key dimension d must be >= 2, got {d}")
     dims = tuple(int(x) for x in shield_dims)
-    s = int(np.prod(dims, dtype=np.int64))
+    s = math.prod(dims)
     if shield_rank is None:
         shield_rank = s
     children = np.random.SeedSequence(seed).spawn(d + 1)

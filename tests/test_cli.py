@@ -8,7 +8,7 @@ from conftest import BITWISE_BLAS
 from privdistill import cli
 from privdistill.cli import main
 from privdistill.filtering import filter_outcomes
-from privdistill.overlap import optimize_pair
+from privdistill.overlap import eta_optimize, optimize_pair
 from privdistill.private_states import (
     build_private_state, random_spec, tensor_power_spec, with_shield,
 )
@@ -551,6 +551,32 @@ def test_deeply_nested_spec_gives_one_line_error(tmp_path, capsys, command):
     assert err.startswith("error: ") and "nested too deeply" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_shield_dims_whose_product_wraps_in_int64_are_refused(tmp_path, capsys):
+    """Shield dims (3, 6148914691236517206) multiply to 2^64 + 2, which
+    int64 arithmetic wraps to 2, the dim of a 2 x 2 shield. Products of
+    dims are exact, so `build`, `bound` and `certify` each refuse such a
+    spec with exit code 1, one `error:` line naming the exact product and
+    no output file, and `eta_optimize` refuses the dims for a 2 x 2
+    operator."""
+    dims = [3, 6148914691236517206]
+    path = tmp_path / "spec21.json"
+    write_spec(random_spec(2, 2, (2, 1), seed=1), str(path))
+    obj = read_json(str(path))
+    obj["shield_dims"] = dims
+    bad = tmp_path / "wraps.json"
+    bad.write_text(json.dumps(obj))
+    for command in ("build", "bound", "certify"):
+        out = tmp_path / f"{command}.json"
+        rc = main([command, "--spec", str(bad), "--out", str(out)] + SPEC_COMMANDS[command])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(3 * dims[1]) in err
+        assert not out.exists()
+    with pytest.raises(ValueError, match="does not match dims"):
+        eta_optimize(np.eye(2), dims)
 
 
 @pytest.mark.parametrize("key", ["shield", "shield_dims", "parties", "rows"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import BITWISE_BLAS
 from privdistill import ascent, overlap
-from privdistill.ascent import ascend, row_kron, stack_product, sweep
+from privdistill.ascent import ascend, row_kron, sweep
 from privdistill.linalg import CONV_TOL, MAX_ITERS, kron_all, layout
 from privdistill.overlap import (
     DETERMINISTIC_STARTS,
@@ -348,12 +348,12 @@ def test_random_starts_are_the_per_factor_draws_bit_for_bit(dims):
     has unit norm to within 1e-15."""
     total = int(np.prod(dims))
     seeds = [7, *np.random.SeedSequence(7).spawn(2)]
-    bras, kets, c = _stacked_starts(
+    points, c = _stacked_starts(
         np.zeros((len(seeds), total, total), dtype=complex), dims, 20, seeds
     )
     assert c == min(DETERMINISTIC_STARTS, total**2) + 20
     want = [per_factor_draws(dims, 20, s) for s in seeds]
-    for k, got in enumerate(bras + kets):
+    for k, got in enumerate(factor_columns(points, dims)):
         drawn = got.reshape(len(seeds), c, -1)[:, c - 20 :].reshape(-1, got.shape[1])
         ref = np.concatenate([w[k] for w in want])
         assert np.array_equal(drawn.view(np.int64), ref.view(np.int64))
@@ -390,10 +390,9 @@ def test_fewer_restarts_are_the_first_starts_of_more(dims, r, more, seed):
     at least that of r starts, to 1e-13."""
     big = r + more
     x = cross_operator(random_spec(2, len(dims), dims, seed=seed), 0, 1)
-    few_bras, few_kets, n = _stacked_starts(x[None], tuple(dims), r, [seed])
-    many_bras, many_kets, _ = _stacked_starts(x[None], tuple(dims), big, [seed])
-    for few, many in zip(few_bras + few_kets, many_bras + many_kets):
-        assert np.array_equal(few.view(np.int64), many[:n].view(np.int64))
+    few, n = _stacked_starts(x[None], tuple(dims), r, [seed])
+    many, _ = _stacked_starts(x[None], tuple(dims), big, [seed])
+    assert np.array_equal(few.view(np.int64), many[:n].view(np.int64))
     few_eta = eta_optimize(x, dims, restarts=r, seed=seed).eta
     assert eta_optimize(x, dims, restarts=big, seed=seed).eta >= few_eta - 1e-13
 
@@ -428,14 +427,16 @@ def test_stacked_starts_are_the_per_operator_starts_bit_for_bit(restarts):
     ]
     for (dims, xs), basis in zip(stacks, (4, 4, 1)):
         seeds = list(range(10, 10 + len(xs)))
-        bras, kets, c = _stacked_starts(xs, dims, restarts, seeds)
+        points, c = _stacked_starts(xs, dims, restarts, seeds)
         assert c == basis + restarts
         want = [per_operator_starts(x, dims, restarts, s) for x, s in zip(xs, seeds)]
         assert all(len(w[0][0]) == c for w in want)
-        for side, got in enumerate((bras, kets)):
+        got = factor_columns(points, dims)
+        for side in range(2):
             for k in range(len(dims)):
                 ref = np.concatenate([w[side][k] for w in want])
-                assert np.array_equal(got[k].view(np.int64), ref.view(np.int64))
+                assert np.array_equal(got[side * len(dims) + k].view(np.int64),
+                                      ref.view(np.int64))
 
 
 @pytest.mark.parametrize("gather_bytes", [1, 3 * 16**3])
@@ -449,13 +450,14 @@ def test_stacked_starts_sorted_in_chunks_are_the_per_operator_starts(gather_byte
     xs[3] = _sparse({(0, 5): 0.25, (7, 1): -1.0}, 16)  # two nonzero entries
     seeds = list(range(len(xs)))
     with mock.patch.object(overlap, "GATHER_BYTES", gather_bytes):
-        bras, kets, c = _stacked_starts(xs, (4, 4), 2, seeds)
+        points, c = _stacked_starts(xs, (4, 4), 2, seeds)
     assert c == DETERMINISTIC_STARTS + 2
     want = [per_operator_starts(x, (4, 4), 2, s) for x, s in zip(xs, seeds)]
-    for side, got in enumerate((bras, kets)):
+    got = factor_columns(points, (4, 4))
+    for side in range(2):
         for k in range(2):
             ref = np.concatenate([w[side][k] for w in want])
-            assert np.array_equal(got[k].view(np.int64), ref.view(np.int64))
+            assert np.array_equal(got[2 * side + k].view(np.int64), ref.view(np.int64))
 
 
 def factor_columns(points, dims):
@@ -500,21 +502,24 @@ def per_factor_sweep(xs, dims, z, scratch):
     return fit(w.conj(), dims, f[n:], f_conj[n:])
 
 
-def ascend_without_compaction(xs, dims, bras, kets, max_iters, conv_tol, sweep=sweep):
+def ascend_without_compaction(xs, dims, points, max_iters, conv_tol, sweep=sweep):
     """The ascent with its state kept full size: every row sweeps on every
     sweep, whether its start has stopped or not, and a start's result is
-    copied out at the sweep where it stops. The rows are len(xs) equal
-    blocks of starts, one per operator. A start stops when it converges,
+    copied out at the sweep where it stops. The rows of `points` (left as
+    they are) are len(xs) equal blocks of starts, one per operator. A start stops when it converges,
     and is cut (stops unconverged) at a sweep that leaves its best value
     more than `ascent.CATCH_UP` times that sweep's change below its lead,
     the best value its operator's converged starts had before the sweep.
-    Also returns the number of mixing steps and of rejected sweeps of
-    starts that had not stopped."""
-    value = np.einsum("bc,bc->b", own_products(row_kron(bras).conj(), xs), row_kron(kets))
+    Returns the result points, then the values, sweeps and flags, and the
+    number of mixing steps and of rejected sweeps of starts that had not
+    stopped."""
+    n, factors = len(dims), factor_columns(points, dims)
+    value = np.einsum("bc,bc->b", own_products(row_kron(factors[:n]).conj(), xs),
+                      row_kron(factors[n:]))
     c = value.size // len(xs)
     sweeps = np.full(value.size, max_iters)
     converged = np.zeros(value.size, dtype=bool)
-    x = np.concatenate(bras + kets, axis=1)
+    x = points.copy()
     x_prev, r_prev, best_y, best = x.copy(), x.copy(), x.copy(), np.abs(value)
     best_value, result, running = value.copy(), x.copy(), np.ones(value.size, dtype=bool)
     lead = np.full(value.size, -np.inf)
@@ -552,9 +557,7 @@ def ascend_without_compaction(xs, dims, bras, kets, max_iters, conv_tol, sweep=s
         if not running.any():
             break
     result[running], value[running] = best_y[running], best_value[running]
-    columns = factor_columns(result, dims)
-    n = len(dims)
-    return columns[:n], columns[n:], value, sweeps, converged, steps, rejections
+    return result, value, sweeps, converged, steps, rejections
 
 
 @pytest.mark.parametrize("max_iters", [0, 1, 2, 15, 200])
@@ -566,12 +569,14 @@ def ascend_without_compaction(xs, dims, bras, kets, max_iters, conv_tol, sweep=s
     pytest.param(3, (2, 1, 2, 1, 2), None, id="3-five-parties"),
 ])
 def test_ascent_keeps_every_start_whenever_it_stops(d, dims, one_entry, max_iters):
-    """The compact ascent leaves every start's factors as they were when
-    it stopped, converged, cut behind its lead or stopped at `max_iters`:
-    they reproduce its returned overlap, and its sweeps and flag are those
-    of a run that keeps the state full size (bit for bit on a BLAS where
-    that was checked). Some starts take mixing steps, some sweeps are
-    rejected, and at 200 sweeps some starts are cut.
+    """The compact ascent leaves every start's point in the caller's
+    `points` as it was when it stopped, converged, cut behind its lead or
+    stopped at `max_iters`, also for operators that left before a
+    swap-remove: the points reproduce its returned overlap, and its
+    sweeps and flag are those of a run that keeps the state full size
+    (bit for bit on a BLAS where that was checked). Some starts take
+    mixing steps, some sweeps are rejected, and at 200 sweeps some starts
+    are cut.
     With `one_entry`, those operators of the stack have a single nonzero
     entry, so they stop within two sweeps while the last ones sweep on,
     and one swap-remove moves the last operators into their slots: the
@@ -583,24 +588,24 @@ def test_ascent_keeps_every_start_whenever_it_stops(d, dims, one_entry, max_iter
     if one_entry is not None:
         xs[list(one_entry)] = 0.0
         xs[list(one_entry), 0, 0] = 1.0
-    bras, kets, c = _stacked_starts(xs, dims, 5, list(range(len(pairs))))
-    ref = ascend_without_compaction(
-        xs, dims, [b.copy() for b in bras], [k.copy() for k in kets], max_iters, 1e-12
-    )
-    got = ascend(xs.copy(), c, dims, bras, kets, max_iters, 1e-12)
-    f, g, value, sweeps, converged = got
-    stored = np.einsum("ba,bac,bc->b", row_kron(f).conj(), np.repeat(xs, c, axis=0), row_kron(g))
+    points, c = _stacked_starts(xs, dims, 5, list(range(len(pairs))))
+    ref = ascend_without_compaction(xs, dims, points, max_iters, 1e-12)
+    got = points.copy()
+    value, sweeps, converged = ascend(xs.copy(), c, dims, got, max_iters, 1e-12)
+    f, n = factor_columns(got, dims), len(dims)
+    stored = np.einsum("ba,bac,bc->b", row_kron(f[:n]).conj(), np.repeat(xs, c, axis=0),
+                       row_kron(f[n:]))
     assert np.abs(stored - value).max() <= 1e-13
-    assert np.array_equal(sweeps, ref[3]) and np.array_equal(converged, ref[4])
+    assert np.array_equal(sweeps, ref[2]) and np.array_equal(converged, ref[3])
     if max_iters == 15:  # some starts converged, the others were cut
         assert 0 < converged.sum() < converged.size
     if max_iters == 200:
-        assert ref[5] > 0 and ref[6] > 0  # mixing steps, rejected sweeps
+        assert ref[4] > 0 and ref[5] > 0  # mixing steps, rejected sweeps
         assert (~converged & (sweeps < max_iters)).any()  # cut starts
     if one_entry is not None and max_iters >= 15:
         per_operator = sweeps.reshape(-1, c).max(axis=1)
         assert per_operator[list(one_entry)].max() <= 2 < per_operator[-len(one_entry):].min()
-    for a, b in zip(f + g + [value], ref[0] + ref[1] + [ref[2]]):
+    for a, b in zip((got, value), ref[:2]):
         assert np.abs(a - b).max() <= 1e-13
         if BITWISE_BLAS:
             assert np.array_equal(a, b)
@@ -613,7 +618,7 @@ def pairs_with_start_flags(spec, pairs, restarts, seed):
 
     def recorded(*args):
         out = ascend(*args)
-        flags.append(out[3:])
+        flags.append(out[1:])
         return out
 
     with mock.patch.object(overlap, "ascend", recorded):
@@ -743,21 +748,22 @@ def test_mixed_ascent_is_monotone_and_ends_at_a_fixed_point(d, dims, rank_fracti
     spec = random_spec(d, len(dims), dims, seed=seed, shield_rank=rank)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     xs = _cross_operators(spec, pairs)
-    bras, kets, c = _stacked_starts(xs, dims, restarts, [seed + k for k in range(len(pairs))])
+    points, c = _stacked_starts(xs, dims, restarts, [seed + k for k in range(len(pairs))])
 
     def run(max_iters):
-        return ascend(xs.copy(), c, dims, [b.copy() for b in bras], [k.copy() for k in kets],
-                      max_iters, CONV_TOL)
+        got = points.copy()
+        value, _, converged = ascend(xs.copy(), c, dims, got, max_iters, CONV_TOL)
+        return got, value, converged
 
-    before = np.abs(run(0)[2])
+    before = np.abs(run(0)[1])
     for max_iters in (1, 2, 4, 8, 200):
-        f, g, value, _, converged = run(max_iters)
+        got, value, converged = run(max_iters)
         now = np.abs(value)
         assert (now >= before).all()
         before = now
     best = now.reshape(-1, c).argmax(axis=1) + c * np.arange(len(xs))
     best = best[converged[best]]
-    z = np.concatenate(f + g, axis=1)[best]
+    z = got[best]
     after = sweep(np.repeat(xs, c, axis=0)[best], dims, z, np.empty_like(z))
     assert (after <= now[best] + 1e-9).all()
 
@@ -845,23 +851,26 @@ def test_optimize_pairs_of_no_pairs():
 
 @pytest.mark.parametrize("s", [6, 16, 64])
 def test_block_products_are_each_operators_product(s):
-    """Each row of the stacked product (`stack_product`) is the product of
-    its operator with the rows of that operator alone: to 1e-13
-    everywhere, and bit for bit on a BLAS where that was checked
-    (`BITWISE_BLAS`). Also for stacks left by swap-removes, whose
-    operators are in any order, and with one row per operator (a
-    matrix-vector product). Written into a buffer (`out=`), the product
-    is the same, in that buffer."""
+    """Each row of the ascent's product, one `np.matmul` of the
+    (operators, c, s) rows by the stack, is the product of its operator
+    with the rows of that operator alone: to 1e-13 everywhere, and bit for
+    bit on a BLAS where that was checked (`BITWISE_BLAS`). Also for stacks
+    left by swap-removes, whose operators are in any order, and with one
+    row per operator (a matrix-vector product). Written into a view of a
+    buffer (`out=`, as the bound sweep binds it), the product is the same,
+    in that buffer."""
     rng = np.random.default_rng(s)
     ops = rng.normal(size=(5, s, s)) + 1j * rng.normal(size=(5, s, s))
     for live in ([0, 1, 2, 3, 4], [0, 4, 2, 3], [4, 1], [3], [0, 1, 4, 3], []):
         stack = ops[np.array(live, dtype=int)]
         for c in (1, 3):
             rows = rng.normal(size=(len(live) * c, s)) + 1j * rng.normal(size=(len(live) * c, s))
-            out = stack_product(rows, stack)
+            batch = rows.reshape(len(live), c, s)
+            out = np.matmul(batch, stack).reshape(rows.shape)
             assert out.shape == rows.shape
             into = np.empty_like(rows)
-            assert np.array_equal(stack_product(rows, stack, out=into), into)
+            view = into.reshape(batch.shape)
+            assert np.matmul(batch, stack, out=view) is view
             assert np.abs(into - out).max(initial=0.0) <= 1e-13 * s
             if BITWISE_BLAS:
                 assert np.array_equal(into, out)
@@ -884,13 +893,14 @@ def test_a_start_whose_contraction_vanishes_stays_where_it_is():
     x[0, 0, 0] = 1.0
     bras = [np.array([e0, e0, e1]), np.array([e0, e1, e0])]
     kets = [np.array([e0, e0, e0]), np.array([e0, e0, e0])]
-    starts = [a.copy() for a in bras + kets]
-    f, g, value, sweeps, converged = ascend(x, 3, (2, 2), bras, kets, 200, CONV_TOL)
+    starts = np.concatenate(bras + kets, axis=1)
+    points = starts.copy()
+    value, sweeps, converged = ascend(x, 3, (2, 2), points, 200, CONV_TOL)
     assert value.tolist() == [1.0, 0.0, 1.0]
     assert sweeps.tolist() == [1, 1, 2] and converged.all()
-    for got, start in zip(f + g, starts):
-        assert np.array_equal(got[1], start[1])
-        assert np.isfinite(got).all()
+    assert np.array_equal(points[1], starts[1])
+    assert np.isfinite(points).all()
+    f = factor_columns(points, (2, 2))
     assert np.abs(f[0][2] - e0).max() <= 1e-15 and np.abs(f[1][2] - e0).max() <= 1e-15
 
 
@@ -922,12 +932,12 @@ def test_grouped_normalization_keeps_the_per_factor_result(dims, rank_fraction, 
     parts = rng.normal(size=(4, total, rank))
     xs = ((parts[0] + 1j * parts[1]) @ (parts[2] + 1j * parts[3]).conj().T)[None]  # rank `rank`
     xs *= 10.0**k / np.abs(xs).max()
-    bras, kets, c = _stacked_starts(xs, dims, restarts, [seed])
-    ref = ascend_without_compaction(xs, dims, [b.copy() for b in bras], [g.copy() for g in kets],
-                                    MAX_ITERS, CONV_TOL, sweep=per_factor_sweep)
-    f, g, value, _, _ = ascend(xs.copy(), c, dims, bras, kets, MAX_ITERS, CONV_TOL)
-    assert np.isfinite(value).all() and all(np.isfinite(v).all() for v in f + g)
-    want = np.abs(ref[2]).max()
+    points, c = _stacked_starts(xs, dims, restarts, [seed])
+    ref = ascend_without_compaction(xs, dims, points, MAX_ITERS, CONV_TOL, sweep=per_factor_sweep)
+    got = points.copy()
+    value, _, _ = ascend(xs.copy(), c, dims, got, MAX_ITERS, CONV_TOL)
+    assert np.isfinite(value).all() and np.isfinite(got).all()
+    want = np.abs(ref[1]).max()
     assert abs(np.abs(value).max() - want) <= 1e-9 * want
 
 
