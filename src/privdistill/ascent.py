@@ -12,18 +12,8 @@ each row gets the same bits as when its operator's starts run alone, in
 any slot of the stack, if the BLAS gives equal bits for equal calls.
 Operators that stop leave the stack by swap-remove, so it stays compact.
 Each start mixes its sweeps (guarded Anderson mixing, see `ascend`) with
-arithmetic of its own.
-
-A start stops when it converges, or is cut when it cannot catch up: the
-best value among the converged starts of its operator is the operator's
-lead, and a start still running is cut at a sweep that leaves its best
-value more than CATCH_UP = 10 times that sweep's change below the lead.
-At the pace of its last sweep it would need more than CATCH_UP sweeps to
-get there; such starts mostly creep towards the lead's own value, so
-their last sweeps would polish starts that lose. The rule reads only
-the rows of the start's own operator, so a start that is not cut follows
-the path it follows with no rule (CATCH_UP = inf): bit for bit if the BLAS
-gives equal bits for equal calls.
+arithmetic of its own, and stops only when it converges or runs out of
+sweeps.
 
 A sweep (`sweep`) fits each factor in turn to the contraction of the
 operator with all the others, the higher-order power method. That map is
@@ -55,7 +45,6 @@ import functools
 import numpy as np
 
 MAX_GROUP = 4  # factors normalized together in a sweep; raw norms reach eta^(2^(MAX_GROUP-1))
-CATCH_UP = 10.0  # sweeps at its last pace within which a start must be able to reach its lead
 
 
 def row_kron(factors: list[np.ndarray]) -> np.ndarray:
@@ -260,20 +249,16 @@ def ascend(
       at x, with |overlap(y)| = 0.
 
     A start stops once a sweep's |overlap| is within `conv_tol` of `best`
-    (converged), or is cut once its operator's lead (the largest `best` of
-    its converged starts, -inf until one converges) exceeds its `best` by
-    more than CATCH_UP times that sweep's change |size - best before| (see
-    the module docstring), or stops after `max_iters` sweeps. Either
-    way it reports its best accepted point, and its sweep count is that
-    of the sweep where it stopped; only a converged start is flagged. A
-    cut start is below a converged one, so it is never its operator's
-    best. Every start's arithmetic is its own, row by row, and the cut
-    reads only its operator's rows, so it follows the path it would
-    follow alone.
+    (converged), or after `max_iters` sweeps. Either way it reports its
+    best accepted point, and its sweep count is that of the sweep where it
+    stopped; only a converged start is flagged. No start is stopped on
+    account of another: each runs until it converges or runs out of
+    sweeps. Every start's arithmetic is its own, row by row, so it follows
+    the path it would follow alone.
 
     The starts sweep in compact arrays (points and mixing history). A
     start that stops is frozen: its `best` becomes inf, so no later sweep
-    of it is accepted, passes the test or is cut, and each sweeps again
+    of it is accepted or passes the test, and each sweeps again
     from its best accepted point. An operator's rows leave the batch
     together, once all its starts are frozen, and only then are their best
     points written back to their rows of `points`, in one assignment. Its
@@ -306,7 +291,6 @@ def ascend(
     # sweep before in the first two between sweeps (no history: x_prev = x).
     z, best_y, hist = points.copy(), points.copy(), np.stack([points] * 4)
     best_value, best = value.copy(), np.abs(value)
-    lead = np.full(value.size, -np.inf)  # per row, its operator's best converged value
     dr, dx, r, x = hist
     bound = _BoundSweep(xs, dims, z, r)  # r is its scratch
     mix_f, dr_f = hist[:3].view(float), dr.view(float)
@@ -314,8 +298,7 @@ def ascend(
         size = bound()  # |overlap(y)|
         if not size.all():  # a contraction vanished: y = x
             np.copyto(z, x, where=(size == 0.0)[:, None])
-        gap = np.abs(size - best)
-        done = gap <= conv_tol
+        done = np.abs(size - best) <= conv_tol
         up = size >= best  # accepted; false for NaN
         np.subtract(z, x, out=r)
         np.subtract(r, dr, out=dr)  # dr held r of the sweep before
@@ -336,16 +319,11 @@ def ascend(
             np.copyto(z, best_y, where=back)
             np.copyto(dx, z, where=back)
         np.copyto(x, z)
-        # a start that converges is not cut, and no 0 * inf warns at CATCH_UP = inf
-        np.copyto(gap, np.inf, where=done)
-        stop = (lead - best > CATCH_UP * gap) | done  # cut, or converged
-        if not np.count_nonzero(stop) and it < max_iters:
+        if not np.count_nonzero(done) and it < max_iters:
             continue
         converged[live[done]] = True
-        sweeps[live[stop]] = it
-        newly = np.where(done, best, -np.inf).reshape(-1, c).max(axis=1)  # per operator
-        np.maximum(lead, np.repeat(newly, c), out=lead)
-        best[stop] = np.inf  # frozen
+        sweeps[live[done]] = it
+        best[done] = np.inf  # frozen
         stays = (best < np.inf).reshape(-1, c).any(axis=1) & (it < max_iters)
         if stays.all():
             continue
@@ -358,12 +336,12 @@ def ascend(
         holes, movers = np.flatnonzero(~stays[:k]), k + np.flatnonzero(stays[k:])
         xs[holes] = xs[movers]
         holes, movers = (np.add.outer(c * a, np.arange(c)).ravel() for a in (holes, movers))
-        for a in (z, best_y, best_value, best, lead, live):
+        for a in (z, best_y, best_value, best, live):
             a[holes] = a[movers]
         hist[:, holes] = hist[:, movers]
         xs, hist = xs[:k], hist[:, : k * c]
-        z, best_y, best_value, best, lead, live = (
-            a[: k * c] for a in (z, best_y, best_value, best, lead, live)
+        z, best_y, best_value, best, live = (
+            a[: k * c] for a in (z, best_y, best_value, best, live)
         )
         dr, dx, r, x = hist
         bound.bind(xs, z, r)

@@ -60,16 +60,18 @@ def key_rate(spec: PrivateStateSpec) -> float:
 class PairBound:
     """Filtering outcome and rates of one key pair i < j.
 
-    `verified_rate` is the rate the simulated filter achieves. Any product
-    vectors give a local filter, so it is an achievable bound whether or not
-    the ascent converged; `converged` only says whether the ascent that
-    chose the vectors reached its fixed point. `success_sim`/`p_sim` and
-    `success_pred`/`p_pred` both come from the pair's Gram block, so they
-    agree by algebra; the dense `filtering.apply_filter` is the independent
-    route. `paper_rate`
-    is an uncertified closed form, max(a1, a2) * (1 - H(p_pred)): it exceeds
-    `verified_rate` by the factor d * max(a1, a2) / (2 * min(a1, a2)),
-    because the filter succeeds with probability (2/d) * min(a1, a2).
+    `success_sim` and `p_sim` are the success probability and + Bell weight
+    of the simulated filter, formed from the pair's Gram block
+    (`filtering._gram_outcomes`); acceptance test 04 holds them to the dense
+    `filtering.apply_filter` and to the closed forms (2/d) min(a1, a2) and
+    1/2 + eta / (2 sqrt(a1 a2)). `verified_rate` = success_sim (1 - H(p_sim))
+    is the rate the simulated filter achieves. Any product vectors give a
+    local filter, so it is an achievable bound whether or not the ascent
+    converged; `converged` only says whether the ascent that chose the
+    vectors reached its fixed point. `paper_rate` = max(a1, a2) (1 - H(p_sim))
+    is uncertified: it exceeds `verified_rate` by the factor
+    d max(a1, a2) / (2 min(a1, a2)), because the filter succeeds with
+    probability (2/d) min(a1, a2).
 
     `a1`, `a2` and both rates carry only about 7 significant digits: the
     ascent stops at |delta eta| <= conv_tol (1e-12), which fixes the product
@@ -82,11 +84,8 @@ class PairBound:
     a1: float
     a2: float
     variant: str
-    success_pred: float
     success_sim: float
-    p_pred: float
     p_sim: float
-    structure_residual: float
     paper_rate: float
     verified_rate: float
     converged: bool
@@ -95,24 +94,15 @@ class PairBound:
 def pair_bounds(spec: PrivateStateSpec, results: list[PairOverlap]) -> list[PairBound]:
     """The record of each result's own key pair (i, j): the simulated
     outcome of its filters, one stack formed from the Gram blocks of
-    `results` alone (`filtering._gram_outcomes`), and the closed form,
-    success (2/d) min(a1, a2) and p = 1/2 + eta / (2 sqrt(a1 a2))."""
-    _, success, p, residual = _gram_outcomes(spec, results)
-    outcomes = zip(success.tolist(), p.tolist(), residual.tolist())
+    `results` alone (`filtering._gram_outcomes`), and the two rates."""
+    _, success, p, _ = _gram_outcomes(spec, results)
     bounds = []
-    for result, (success_sim, p_sim, structure_residual) in zip(results, outcomes):
-        a1, a2 = result.a1, result.a2
-        success_pred = (2.0 / spec.d) * min(a1, a2)
-        p_pred = float(0.5 + result.eta / (2.0 * np.sqrt(a1 * a2)))
-        if p_pred > 1.0 + 1e-9:
-            raise ValueError(f"p={p_pred} exceeds 1; eta is inconsistent with the branch weights")
-        p_pred = min(p_pred, 1.0)
+    for result, success_sim, p_sim in zip(results, success.tolist(), p.tolist()):
+        rate = hashing_rate(p_sim)
         bounds.append(PairBound(
-            i=result.i, j=result.j, eta=result.eta, a1=a1, a2=a2, variant=result.variant,
-            success_pred=success_pred, success_sim=success_sim,
-            p_pred=p_pred, p_sim=p_sim, structure_residual=structure_residual,
-            paper_rate=max(a1, a2) * hashing_rate(p_pred),
-            verified_rate=success_sim * hashing_rate(p_sim),
+            i=result.i, j=result.j, eta=result.eta, a1=result.a1, a2=result.a2,
+            variant=result.variant, success_sim=success_sim, p_sim=p_sim,
+            paper_rate=max(result.a1, result.a2) * rate, verified_rate=success_sim * rate,
             converged=result.converged,
         ))
     return bounds

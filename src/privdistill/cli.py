@@ -164,19 +164,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """One CSV row per knob value, from the best-verified pair of that
     spec's `bound` report, chosen over all pairs, converged or not: its
-    `eta`, `p_pred` (`p`), own `paper_rate` and `verified_rate` (the
+    `eta`, `p_sim` (`p`), own `paper_rate` and `verified_rate` (the
     report's `best_verified_rate`). The report's `best_paper_rate` may
-    belong to another pair, so `paper_rate` can read below it. `p_pred`
-    comes from the same Gram block as the simulated `p_sim`, and agrees
-    with it by algebra."""
+    belong to another pair, so `paper_rate` can read below it. `random_spec`
+    refuses a shield rank outside [1, s], s the shield's dimension."""
     base = random_spec(args.d, args.parties, args.shield_dims, args.seed)
-    total = base.shield_total_dim
     lines = ["knob,eta,p,paper_rate,verified_rate\n"]
     for raw in args.values.split(","):
         if args.knob == "shield-rank":
             rank = int(raw)
-            if not 1 <= rank <= total:
-                raise ValueError(f"shield rank {rank} not in [1, {total}]")
             spec = random_spec(
                 args.d, args.parties, args.shield_dims, args.seed, shield_rank=rank
             )
@@ -187,7 +183,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             label = repr(weight)
         report = ed_lower_bound(spec, **_optimizer_config(args))
         b = next(b for b in report.pairs if (b.i, b.j) == report.best_pair)
-        lines.append(f"{label},{b.eta!r},{b.p_pred!r},{b.paper_rate!r},{b.verified_rate!r}\n")
+        lines.append(f"{label},{b.eta!r},{b.p_sim!r},{b.paper_rate!r},{b.verified_rate!r}\n")
     write_text("".join(lines), args.out)
     return 0
 

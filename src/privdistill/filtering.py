@@ -13,8 +13,10 @@ only a contraction is one outcome of a local operation (a weight above 1
 would claim success (2/d) max(a1, a2), which no filter achieves). Every
 other party applies P_k = |0><i| (x) <f_k| + |1><j| (x) <g_k|. The
 surviving state lives on N two-level keys and is a mixture of the two
-generalized Bell states (|0...0> +/- |1...1>)/sqrt(2). Since <f|X|g> is real
-and >= 0, it is a function of the pair's Gram block alone (`_gram_outcomes`).
+generalized Bell states (|0...0> +/- |1...1>)/sqrt(2), with success
+(2/d) min(a1, a2) and + weight p = 1/2 + eta / (2 sqrt(a1 a2)). Since
+<f|X|g> is real and >= 0, it is a function of the pair's Gram block alone
+(`_gram_outcomes`); the dense `apply_filter` is the independent reference.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ class FilterSet:
     """One rectangular filter per party, mapping key_k (x) shield_k to C^2."""
 
     party_ops: tuple[np.ndarray, ...]
-    variant: str  # label only: `PairOverlap.variant` of the pair's result
     i: int
     j: int
 
@@ -67,7 +68,7 @@ def branch_weights(grams: np.ndarray) -> np.ndarray:
 def build_filters(spec, i: int, j: int, result: PairOverlap) -> FilterSet:
     """Filter bank for key pair (i, j) from that pair's overlap result (a
     result of another pair is refused), with party 0's branch weights from
-    `branch_weights` and the result's `variant` label."""
+    `branch_weights`."""
     if i == j:
         raise ValueError("a filter needs two distinct key values")
     if (i, j) != (result.i, result.j):
@@ -85,7 +86,7 @@ def build_filters(spec, i: int, j: int, result: PairOverlap) -> FilterSet:
         op[0, i * s : (i + 1) * s] = (bra_weight if k == 0 else 1.0) * bra.conj()
         op[1, j * s : (j + 1) * s] = (ket_weight if k == 0 else 1.0) * ket.conj()
         ops.append(op)
-    return FilterSet(party_ops=tuple(ops), variant=result.variant, i=i, j=j)
+    return FilterSet(party_ops=tuple(ops), i=i, j=j)
 
 
 def apply_filter(state: PrivateState, filters: FilterSet) -> FilterOutcome:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import privdistill as pd
+from privdistill.bounds import pair_bounds
 from privdistill.serialize import dumps, report_to_json
 
 SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
@@ -113,16 +114,36 @@ def test_03_random_corpus_has_positive_rates(corpus):
 
 
 def test_04_simulation_matches_closed_form(corpus):
+    """Each report's pairs are `pair_bounds` of a re-run of the ascent with
+    the report's seed, and every pair's simulated success, p and verified
+    rate agree with two routes that share no arithmetic with the Gram
+    block: the dense filter on the built state, and the closed forms
+    success = (2/d) min(a1, a2) and p = 1/2 + eta / (2 sqrt(a1 a2))."""
     entries, _ = corpus
-    worst_resid = worst_succ = worst_p = 0.0
-    for _, rep in entries:
-        for b in rep.pairs:
-            worst_resid = max(worst_resid, b.structure_residual)
-            worst_succ = max(worst_succ, abs(b.success_sim - b.success_pred))
-            worst_p = max(worst_p, abs(b.p_sim - b.p_pred))
-    ok = worst_resid <= 1e-9 and worst_succ <= 1e-9 and worst_p <= 1e-9
-    _verdict(4, ok, f"post-filter structure residual <= {worst_resid:.2e}, "
-                    f"success gap <= {worst_succ:.2e}, p gap <= {worst_p:.2e}")
+    same = True
+    worst_resid = worst_dense = worst_closed = 0.0
+    for seed, (spec, rep) in enumerate(entries):
+        pairs = [(b.i, b.j) for b in rep.pairs]
+        results = pd.optimize_pairs(spec, pairs, seed=seed)
+        same = same and pair_bounds(spec, results) == list(rep.pairs)
+        state = pd.build_private_state(spec)
+        for b, res in zip(rep.pairs, results):
+            dense = pd.apply_filter(state, pd.build_filters(spec, b.i, b.j, res))
+            success = 2 / spec.d * min(b.a1, b.a2)
+            p = 0.5 + b.eta / (2 * np.sqrt(b.a1 * b.a2))
+            worst_resid = max(worst_resid, dense.residual)
+            for got, want_dense, want_closed in (
+                (b.success_sim, dense.success, success),
+                (b.p_sim, dense.p, p),
+                (b.verified_rate, dense.success * pd.hashing_rate(dense.p),
+                 success * pd.hashing_rate(p)),
+            ):
+                worst_dense = max(worst_dense, abs(got - want_dense))
+                worst_closed = max(worst_closed, abs(got - want_closed))
+    ok = same and worst_resid <= 1e-9 and worst_dense <= 1e-9 and worst_closed <= 1e-9
+    _verdict(4, ok, f"pairs re-derived: {same}; dense structure residual <= "
+                    f"{worst_resid:.2e}; gap to dense filter <= {worst_dense:.2e}, "
+                    f"to closed form <= {worst_closed:.2e}")
 
 
 def test_05_overlap_bounds_hold(corpus):

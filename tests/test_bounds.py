@@ -93,16 +93,18 @@ def test_key_rate_is_log_d():
 
 
 def test_ed_lower_bound_swap_shield():
-    report = ed_lower_bound(swap_shield_spec(), seed=0)
+    spec = swap_shield_spec()
+    report = ed_lower_bound(spec, seed=0)
     assert report.best_pair == (0, 1)
     assert abs(report.best_verified_rate - 0.25) < 1e-9
     assert abs(report.best_paper_rate - 0.25) < 1e-9
     assert report.key_rate == 1.0
     assert report.all_converged
     (pair,) = report.pairs
-    assert abs(pair.success_sim - pair.success_pred) < 1e-12
-    assert abs(pair.p_sim - pair.p_pred) < 1e-12
-    assert pair.structure_residual < 1e-12
+    assert abs(pair.success_sim - 2 / spec.d * min(pair.a1, pair.a2)) < 1e-12
+    assert abs(pair.p_sim - (0.5 + pair.eta / (2 * np.sqrt(pair.a1 * pair.a2)))) < 1e-12
+    (outcome,) = filter_outcomes(spec, optimize_pairs(spec, [(0, 1)], seed=0))
+    assert outcome.residual < 1e-12
 
 
 def test_ed_lower_bound_trivial_shield_is_perfect():

@@ -13,7 +13,7 @@ from privdistill.private_states import (
     build_private_state, random_spec, tensor_power_spec, with_shield,
 )
 from privdistill.serialize import (
-    dumps, read_json, spec_from_json, spec_to_json, state_to_json, write_spec,
+    dumps, matrix_from_json, read_json, spec_from_json, spec_to_json, state_to_json, write_spec,
 )
 
 
@@ -198,10 +198,16 @@ def test_distill_command(spec_path, tmp_path):
     assert rc == 0
     obj = read_json(str(out))
     assert obj["variant"] in ("V", "W")
-    assert abs(obj["success_sim"] - obj["success_pred"]) < 1e-9
-    assert abs(obj["p_sim"] - obj["p_pred"]) < 1e-9
-    assert obj["structure_residual"] < 1e-9
-    assert read_json(str(post))["rows"] == 4
+    assert not {"success_pred", "p_pred", "structure_residual"} & obj.keys()
+    a1, a2 = obj["a1"], obj["a2"]
+    assert abs(obj["success_sim"] - min(a1, a2)) < 1e-9
+    assert abs(obj["p_sim"] - (0.5 + obj["eta"] / (2 * np.sqrt(a1 * a2)))) < 1e-9
+    post_obj = read_json(str(post))
+    assert post_obj["rows"] == 4
+    rho, _ = matrix_from_json(post_obj)
+    plus, minus = np.array([[1, 0, 0, 1], [1, 0, 0, -1]]) / np.sqrt(2)
+    mixture = obj["p_sim"] * np.outer(plus, plus) + (1 - obj["p_sim"]) * np.outer(minus, minus)
+    assert np.abs(rho - mixture).max() < 1e-9
 
 
 def test_distill_reports_the_pair_as_bound_does(tmp_path):
@@ -263,7 +269,7 @@ def test_bound_names_a_best_pair_that_has_not_converged(tmp_path):
     assert main(["sweep", "--d", "3", "--shield-dims", "2,2", "--knob", "depolarize",
                  "--values", "0", *settings, "--out", str(tmp_path / "sweep.csv")]) == 0
     row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
-    names = ("eta", "p_pred", "paper_rate", "verified_rate")
+    names = ("eta", "p_sim", "paper_rate", "verified_rate")
     assert [float(x) for x in row[1:]] == [best[name] for name in names]
 
 
@@ -333,7 +339,9 @@ def test_sweep_shield_rank(tmp_path):
 def test_sweep_rejects_bad_rank(capsys):
     rc = main(["sweep", "--knob", "shield-rank", "--values", "9", "--seed", "0"])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert err == "error: rank must be in [1, 4], got 9\n"
 
 
 def test_missing_spec_file_is_reported(capsys, tmp_path):

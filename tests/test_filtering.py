@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from privdistill.bounds import pair_bounds
+from privdistill.bounds import hashing_rate, pair_bounds
 from privdistill.filtering import (
     FilterError,
     apply_filter,
@@ -36,18 +36,35 @@ def run_pipeline(spec, i=0, j=1, seed=0):
     return res, filters, outcome
 
 
+def closed_form(spec, res):
+    """The paper's success (2/d) min(a1, a2) and p = 1/2 + eta / (2 sqrt(a1 a2))."""
+    return 2 / spec.d * min(res.a1, res.a2), 0.5 + res.eta / (2 * np.sqrt(res.a1 * res.a2))
+
+
+def assert_variant_row_is_weighted(filters, res):
+    """Party 0's weight below 1, sqrt(min(a1, a2) / max(a1, a2)), sits on
+    key j's row for variant "V" and on key i's row otherwise."""
+    w_i, w_j = np.linalg.norm(filters.party_ops[0], axis=1)
+    whole, scaled = (w_i, w_j) if res.variant == "V" else (w_j, w_i)
+    assert abs(whole - 1) <= 1e-12
+    assert abs(scaled - np.sqrt(min(res.a1, res.a2) / max(res.a1, res.a2))) <= 1e-12
+
+
 def test_swap_shield_pipeline_exact_values():
     """Maximally mixed two-qubit shield with a SWAP twist: the filters
     succeed with probability 1/4 and leave the pure + Bell state."""
     spec = two_qubit_shield_spec(np.eye(4) / 4, SWAP)
     res, filters, outcome = run_pipeline(spec)
     (bound,) = pair_bounds(spec, [res])
+    success, p = closed_form(spec, res)
     assert abs(outcome.success - 0.25) < 1e-9
-    assert abs(bound.success_pred - 0.25) < 1e-9
+    assert abs(success - 0.25) < 1e-9
     assert abs(bound.success_sim - 0.25) < 1e-9
     assert abs(outcome.p - 1.0) < 1e-9
-    assert abs(bound.p_pred - 1.0) < 1e-9
+    assert abs(p - 1.0) < 1e-9
     assert abs(bound.p_sim - 1.0) < 1e-9
+    assert abs(outcome.success - bound.success_sim) < 1e-12
+    assert abs(outcome.p - bound.p_sim) < 1e-12
     plus = bell_vector(+1, 0, 1, 2, 2)
     assert np.abs(outcome.state.matrix - np.outer(plus, plus.conj())).max() < 1e-9
     assert outcome.residual < 1e-12
@@ -87,10 +104,8 @@ def test_variant_selection_follows_branch_weights():
     for seed in range(8):
         spec = random_spec(2, 2, (2, 3), seed=seed)
         res, filters, _ = run_pipeline(spec, seed=seed)
-        if res.a2 >= res.a1:
-            assert filters.variant == "V"
-        else:
-            assert filters.variant == "W"
+        assert res.variant == ("V" if res.a2 >= res.a1 else "W")
+        assert_variant_row_is_weighted(filters, res)
 
 
 def test_filter_shapes_are_rectangular():
@@ -109,11 +124,14 @@ def test_post_filter_state_structure_random_specs():
         spec = random_spec(2, 2, (2, 2), seed=100 + seed)
         res, _, outcome = run_pipeline(spec, seed=seed)
         (bound,) = pair_bounds(spec, [res])
+        success, p = closed_form(spec, res)
         assert outcome.residual < 1e-12
-        assert abs(outcome.success - bound.success_pred) < 1e-12
-        assert abs(outcome.p - bound.p_pred) < 1e-12
-        assert abs(bound.success_sim - bound.success_pred) < 1e-12
-        assert abs(bound.p_sim - bound.p_pred) < 1e-12
+        assert abs(outcome.success - success) < 1e-12
+        assert abs(outcome.p - p) < 1e-12
+        assert abs(bound.success_sim - success) < 1e-12
+        assert abs(bound.p_sim - p) < 1e-12
+        assert abs(outcome.success - bound.success_sim) < 1e-12
+        assert abs(outcome.p - bound.p_sim) < 1e-12
         assert 0.5 - 1e-12 <= outcome.p <= 1.0 + 1e-12
 
 
@@ -124,10 +142,13 @@ def test_three_party_filtering():
     assert outcome.state.dim == 8
     assert outcome.residual < 1e-12
     (bound,) = pair_bounds(spec, [res])
-    assert abs(outcome.success - bound.success_pred) < 1e-12
-    assert abs(outcome.p - bound.p_pred) < 1e-12
-    assert abs(bound.success_sim - bound.success_pred) < 1e-12
-    assert abs(bound.p_sim - bound.p_pred) < 1e-12
+    success, p = closed_form(spec, res)
+    assert abs(outcome.success - success) < 1e-12
+    assert abs(outcome.p - p) < 1e-12
+    assert abs(bound.success_sim - success) < 1e-12
+    assert abs(bound.p_sim - p) < 1e-12
+    assert abs(outcome.success - bound.success_sim) < 1e-12
+    assert abs(outcome.p - bound.p_sim) < 1e-12
 
 
 def test_filter_matches_regroup_then_filter():
@@ -156,8 +177,8 @@ def test_qutrit_key_success_has_two_thirds_factor():
         res, _, outcome = run_pipeline(spec, i=0, j=2, seed=seed)
         assert abs(outcome.success - (2 / 3) * min(res.a1, res.a2)) < 1e-12
         (bound,) = pair_bounds(spec, [res])
-        assert abs(bound.success_pred - outcome.success) < 1e-12
-        assert abs(bound.success_pred - bound.success_sim) < 1e-12
+        assert abs(bound.success_sim - outcome.success) < 1e-12
+        assert abs(bound.success_sim - closed_form(spec, res)[0]) < 1e-12
 
 
 def test_build_filters_rejects_zero_branch_weight():
@@ -223,7 +244,7 @@ def test_every_party_filter_is_a_contraction(d, dims, seed):
         assert abs(res.a1 - np.vdot(f, ui @ rho @ ui.conj().T @ f).real) <= 1e-13
         assert abs(res.a2 - np.vdot(g, uj @ rho @ uj.conj().T @ g).real) <= 1e-13
         filters = build_filters(spec, i, j, res)
-        assert filters.variant == ("V" if res.a2 >= res.a1 else "W")
+        assert_variant_row_is_weighted(filters, res)
         for op in filters.party_ops:
             assert np.linalg.norm(op, 2) <= 1 + 1e-12
 
@@ -297,7 +318,9 @@ def test_filter_outcomes_of_every_pair_match_dense_filters(d, dims, rank_fractio
     pair the outcome of the dense filter: success, p, residual and the
     post-filter state agree to 1e-13. `filter_outcomes` checks and measures
     the 2 x 2 corner block only, so the example with N = 6 (D = 256) holds
-    it to the dense 64 x 64 outcome of `apply_filter`."""
+    it to the dense 64 x 64 outcome of `apply_filter`. Each record of
+    `pair_bounds` holds the dense success and p to 1e-13, and its rates are
+    success_sim (1 - H(p_sim)) and max(a1, a2) (1 - H(p_sim))."""
     assume(d ** len(dims) * int(np.prod(dims)) <= 512)
     rank = max(1, round(rank_fraction * int(np.prod(dims))))
     spec = random_spec(d, len(dims), tuple(dims), seed=seed, shield_rank=rank)
@@ -309,11 +332,17 @@ def test_filter_outcomes_of_every_pair_match_dense_filters(d, dims, rank_fractio
         assume(False)
     state = build_private_state(spec)
     outcomes = filter_outcomes(spec, results)
-    assert len(outcomes) == len(pairs)
-    for filters, fast in zip(filter_sets, outcomes):
+    records = pair_bounds(spec, results)
+    assert len(outcomes) == len(records) == len(pairs)
+    for filters, fast, record in zip(filter_sets, outcomes, records):
         dense = apply_filter(state, filters)
         assert abs(fast.success - dense.success) <= 1e-13
         assert abs(fast.p - dense.p) <= 1e-13
         assert abs(fast.residual - dense.residual) <= 1e-13
         assert np.abs(fast.state.matrix - dense.state.matrix).max() <= 1e-13
         assert fast.state.layout == dense.state.layout
+        assert abs(record.success_sim - dense.success) <= 1e-13
+        assert abs(record.p_sim - dense.p) <= 1e-13
+        rate = hashing_rate(record.p_sim)
+        assert record.verified_rate == record.success_sim * rate
+        assert record.paper_rate == max(record.a1, record.a2) * rate
